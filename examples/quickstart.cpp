@@ -44,13 +44,7 @@ int main(int argc, char** argv) {
   // 3. Validate the chosen architecture functionally: stream an image
   //    through line-buffer engines using the optimizer's algorithm choices.
   const nn::WeightStore ws = nn::WeightStore::deterministic(net, 1);
-  std::vector<arch::LayerChoice> choices;
-  for (const auto& g : result.strategy.groups) {
-    for (const auto& ipl : g.impls) {
-      choices.push_back({ipl.cfg.algo, ipl.cfg.wino_m, {}});
-    }
-  }
-  arch::FusionPipeline pipe(net, ws, choices);
+  arch::FusionPipeline pipe(net, ws, arch::choices_of(result.strategy));
   nn::Tensor image(net[0].out);
   nn::fill_deterministic(image, 2);
   const nn::Tensor streamed = pipe.run(image);

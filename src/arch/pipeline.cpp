@@ -3,12 +3,23 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/strategy.h"
 #include "cost/cost_model.h"
 #include "fault/crc32.h"
 #include "kernels/parallel.h"
 #include "support/error.h"
 
 namespace hetacc::arch {
+
+std::vector<LayerChoice> choices_of(const core::Strategy& s) {
+  std::vector<LayerChoice> ch;
+  for (const auto& g : s.groups) {
+    for (const auto& ipl : g.impls) {
+      ch.push_back({ipl.cfg.algo, ipl.cfg.wino_m, {}});
+    }
+  }
+  return ch;
+}
 
 long long PrepackBundle::resident_bytes() const {
   long long total = 0;
@@ -236,12 +247,6 @@ std::vector<std::unique_ptr<StreamEngine>> FusionPipeline::build_engine_set()
     const nn::ConvWeights* w =
         (l.kind == nn::LayerKind::kConv) ? &ws_.conv(i + 1) : nullptr;
     std::optional<algo::WinogradTransform> t;
-    if (l.kind == nn::LayerKind::kConv &&
-        choices_[i].algo == fpga::ConvAlgo::kWinogradStride2) {
-      throw std::invalid_argument(
-          "FusionPipeline: no streaming engine for the stride-2 Winograd "
-          "decomposition yet (use algo::winograd_conv_stride2 directly)");
-    }
     if (l.kind == nn::LayerKind::kConv &&
         choices_[i].algo == fpga::ConvAlgo::kWinograd) {
       t = algo::winograd(choices_[i].wino_m, l.conv().kernel);

@@ -20,6 +20,10 @@
 #include "nn/network.h"
 #include "nn/reference.h"
 
+namespace hetacc::core {
+struct Strategy;
+}  // namespace hetacc::core
+
 namespace hetacc::arch {
 
 /// Per-layer algorithm selection for a pipeline.
@@ -28,6 +32,11 @@ struct LayerChoice {
   int wino_m = 4;
   NumericMode mode;  ///< float by default
 };
+
+/// The pipeline choices a strategy prescribes: one LayerChoice per
+/// accelerated layer, in network order, with each engine's algorithm and
+/// Winograd tile size and the float datapath.
+[[nodiscard]] std::vector<LayerChoice> choices_of(const core::Strategy& s);
 
 struct PipelineStats {
   std::vector<std::size_t> fifo_max_occupancy;  ///< per inter-layer channel

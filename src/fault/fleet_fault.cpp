@@ -35,6 +35,7 @@ std::string_view to_string(FleetFaultKind k) {
     case FleetFaultKind::kCrash: return "crash";
     case FleetFaultKind::kSlow: return "slow";
     case FleetFaultKind::kCorruptBundle: return "corrupt-bundle";
+    case FleetFaultKind::kPipelineBurst: return "pipeline-burst";
   }
   return "?";
 }
@@ -44,12 +45,16 @@ std::string FleetFaultEvent::describe() const {
   os << to_string(kind) << " model " << model;
   if (kind == FleetFaultKind::kCorruptBundle) {
     os << " rung " << rung;
+  } else if (kind == FleetFaultKind::kPipelineBurst) {
+    os << " home rung";
   } else {
     os << " replica " << replica;
   }
   os << " @ cycle " << cycle;
   if (kind == FleetFaultKind::kSlow) {
     os << " (x" << slow_factor << ")";
+  } else if (kind == FleetFaultKind::kPipelineBurst) {
+    os << " until " << burst_until;
   }
   return os.str();
 }

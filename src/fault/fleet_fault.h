@@ -19,6 +19,12 @@
 //            of one (model, rung) bundle. Detected by the bundle CRC on the
 //            next lease and scrubbed (re-derived) privately so peers are
 //            never invalidated.
+//   kPipelineBurst  a window of virtual time during which batches dispatched
+//            on the model's home rung run on a private twin pipeline with a
+//            pipeline-level FaultPlan installed (a wedged FIFO, SEUs). The
+//            replica stays alive; its executions fail, so the fleet retries
+//            them with backoff, downgrades requests out of retries onto the
+//            conservative rung, and quarantines replicas that keep failing.
 //
 // Determinism contract: a plan is pure data — every event carries the exact
 // virtual cycle it strikes at, and the fleet's single dispatcher applies it
@@ -31,6 +37,8 @@
 #include <string>
 #include <vector>
 
+#include "fault/fault.h"
+
 namespace hetacc::fault {
 
 enum class FleetFaultKind : std::uint8_t {
@@ -38,15 +46,18 @@ enum class FleetFaultKind : std::uint8_t {
   kCrash,
   kSlow,
   kCorruptBundle,
+  kPipelineBurst,
 };
 
 [[nodiscard]] std::string_view to_string(FleetFaultKind k);
 
 /// One fleet-level fault event. `replica` is the dense per-model replica id
 /// (FleetServer spawns ids 0, 1, ... in spawn order); `rung` is only read by
-/// kCorruptBundle. Events targeting a replica that does not exist, or is
-/// not currently healthy (quarantined, in probation, spinning up, retired),
-/// are no-ops — the plan stays valid for any autoscale trajectory.
+/// kCorruptBundle; `burst_until` and `burst_plan` only by kPipelineBurst,
+/// which strikes every replica of `model`. Events targeting a replica that
+/// does not exist, or is not currently healthy (quarantined, in probation,
+/// spinning up, retired), are no-ops — the plan stays valid for any
+/// autoscale trajectory.
 struct FleetFaultEvent {
   long long cycle = 0;
   FleetFaultKind kind = FleetFaultKind::kWedge;
@@ -57,6 +68,8 @@ struct FleetFaultEvent {
   double slow_factor = 3.0;   ///< kSlow: service-time multiplier (> 1)
   long long slow_duration = 0;  ///< kSlow: cycles of sickness; 0 = until
                                 ///< quarantine clears it
+  long long burst_until = 0;    ///< kPipelineBurst: window is [cycle, until)
+  FaultPlan burst_plan;         ///< kPipelineBurst: installed on the twin
 
   [[nodiscard]] std::string describe() const;
 };

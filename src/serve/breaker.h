@@ -1,18 +1,17 @@
 #pragma once
-// Circuit breaker guarding the primary strategy. Classic three-state
-// machine, driven entirely by the dispatcher in virtual time (single
-// threaded, so no locking):
+// Circuit breaker behind the fleet's per-replica quarantine (fleet.h,
+// HealthConfig). Classic three-state machine, driven entirely by the
+// dispatcher in virtual time (single threaded, so no locking):
 //
-//   closed ──(K consecutive failures, or M consecutive deadline misses)──▶
-//   open   ──(cooldown_cycles elapse)──▶ half-open
+//   closed ──(force_open: the health layer isolated the replica)──▶
+//   open   ──(the cooldown — the respawn spin-up — elapses)──▶ half-open
 //   half-open ──(probe_successes probes succeed)──▶ closed
-//             ──(any probe fails)──▶ open (fresh cooldown)
+//             ──(force_open again: the probe failed)──▶ open
 //
-// While open or half-open (probe slot taken), requests are served from the
-// fallback strategy — the pre-optimized, tighter-budget design the
-// optimizer computed offline — instead of failing. Every transition is
-// logged with its virtual cycle so tests can assert the exact recovery
-// sequence.
+// The health layer scores the replica itself and knows the repair time up
+// front, so the breaker keeps no failure counters of its own. Every
+// transition is logged with its virtual cycle so tests can assert the exact
+// recovery sequence.
 
 #include <cstdint>
 #include <string_view>
@@ -25,12 +24,6 @@ enum class BreakerState : std::uint8_t { kClosed, kOpen, kHalfOpen };
 [[nodiscard]] std::string_view to_string(BreakerState s);
 
 struct BreakerConfig {
-  /// Consecutive primary failures that open the breaker.
-  int failure_threshold = 3;
-  /// Consecutive deadline misses that open it (sustained-lateness signal).
-  int deadline_miss_threshold = 8;
-  /// Cycles the breaker stays open before probing half-open recovery.
-  long long cooldown_cycles = 50'000;
   /// Successful half-open probes required to close again.
   int probe_successes = 2;
 };
@@ -49,29 +42,19 @@ class CircuitBreaker {
   /// open -> half-open transition once the cooldown has elapsed.
   [[nodiscard]] BreakerState state(long long now);
 
-  /// Last committed state, with NO cooldown side effect — for observers
-  /// (the regime controller) that must not perturb the transition log.
-  [[nodiscard]] BreakerState current() const { return state_; }
-
   /// Half-open probe admission: true grants the (single) probe slot, and
-  /// the caller must report the probe's outcome via record_success /
-  /// record_failure. While a probe is in flight further requests are served
-  /// from the fallback.
+  /// the caller reports a successful probe via record_success and a failed
+  /// one by calling force_open again.
   [[nodiscard]] bool try_acquire_probe(long long now);
 
-  /// Trips the breaker immediately with an explicit cooldown, bypassing the
-  /// consecutive-failure counters. For callers that score health themselves
-  /// and know the repair time up front — the fleet's quarantine machine uses
-  /// this with the replica's respawn spin-up as the cooldown, then walks the
-  /// ordinary open -> half-open -> closed probation sequence.
+  /// Trips the breaker immediately with an explicit cooldown. The fleet's
+  /// quarantine machine calls this with the replica's respawn spin-up as the
+  /// cooldown, then walks the ordinary open -> half-open -> closed probation
+  /// sequence.
   void force_open(long long now, long long cooldown_cycles);
 
-  /// Outcome of a request served on the *primary* strategy.
+  /// A half-open probe succeeded.
   void record_success(long long now);
-  void record_failure(long long now);
-  /// A primary request completed but blew its deadline. Sustained misses
-  /// open the breaker just like hard failures do.
-  void record_deadline_miss(long long now);
 
   [[nodiscard]] const std::vector<BreakerTransition>& transitions() const {
     return log_;
@@ -85,8 +68,6 @@ class CircuitBreaker {
   BreakerConfig cfg_;
   BreakerState state_ = BreakerState::kClosed;
   long long open_until_ = 0;
-  int consecutive_failures_ = 0;
-  int consecutive_misses_ = 0;
   int probe_wins_ = 0;
   bool probe_in_flight_ = false;
   long long opens_ = 0;

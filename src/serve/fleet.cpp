@@ -9,6 +9,7 @@
 #include <map>
 #include <sstream>
 #include <thread>
+#include <tuple>
 
 #include "fault/crc32.h"
 #include "kernels/parallel.h"
@@ -22,8 +23,8 @@ namespace {
 
 constexpr long long kInf = std::numeric_limits<long long>::max();
 
-/// Same digest primitive as serve/server.cpp (shared via stats.h), so the
-/// fleet hash has the same order-independence properties.
+/// The shared digest primitive (stats.h): the fleet hash is a sum of mixed
+/// terms, so it does not depend on the order events were folded in.
 constexpr std::uint64_t mix64(std::uint64_t x) { return digest_mix64(x); }
 
 /// Globally unique request key for the response digest and the live-copy
@@ -36,14 +37,17 @@ constexpr std::uint64_t request_key(std::size_t tenant, std::uint64_t id) {
 /// through a warm pipeline by whichever worker picks it up. The response
 /// CRCs come back index-aligned with `seeds`; an empty vector signals an
 /// execution error (cannot happen without a fault plan, but accounted as
-/// `failed` rather than lost). `cancel` is the pipeline cancel token the
+/// a retry rather than lost). `cancel` is the pipeline cancel token the
 /// dispatcher flips when the batch's virtual outcome no longer needs the
 /// real work (hedge loser, quarantine drain) — the only dispatcher->worker
-/// signal besides the queue itself, and it never carries stats.
+/// signal besides the queue itself, and it never carries stats. A non-null
+/// `burst` runs the batch on the worker's private twin pipeline with that
+/// fault plan installed, never on the shared `bundle`.
 struct FleetJob {
   std::size_t model = 0;
   int rung = 0;
   std::shared_ptr<const arch::PrepackBundle> bundle;
+  const fault::FaultPlan* burst = nullptr;
   std::vector<std::uint32_t> seeds;
   std::atomic<bool> cancel{false};
   std::promise<std::vector<std::uint32_t>> done;
@@ -63,6 +67,7 @@ std::string_view to_string(HealthEvent::Kind k) {
     case HealthEvent::Kind::kReadmit: return "readmit";
     case HealthEvent::Kind::kProbeFail: return "probe-fail";
     case HealthEvent::Kind::kScrub: return "bundle-scrub";
+    case HealthEvent::Kind::kBurst: return "burst-struck";
   }
   return "?";
 }
@@ -116,7 +121,7 @@ bool FleetStats::operator==(const FleetStats& o) const {
          readmits == o.readmits && requeued == o.requeued &&
          bundles_scrubbed == o.bundles_scrubbed &&
          unrecovered_replicas == o.unrecovered_replicas &&
-         response_hash == o.response_hash;
+         retries == o.retries && response_hash == o.response_hash;
 }
 
 std::string FleetStats::summary() const {
@@ -151,7 +156,7 @@ std::string FleetStats::summary() const {
      << " probes, " << readmits << " readmits, " << requeued << " requeued, "
      << hedges_fired << " hedges (" << hedge_wins << " wins), "
      << bundles_scrubbed << " bundles scrubbed, " << unrecovered_replicas
-     << " unrecovered\n"
+     << " unrecovered, " << retries << " retries\n"
      << "  makespan    " << makespan_cycles << " cycles\n"
      << "  accounted   " << (accounted() ? "yes" : "NO — REQUESTS LOST")
      << "\n";
@@ -209,8 +214,11 @@ std::string FleetStats::to_json() const {
      << ", \"quarantines\": " << quarantines << ", \"probes\": " << probes
      << ", \"readmits\": " << readmits << ", \"requeued\": " << requeued
      << ", \"bundles_scrubbed\": " << bundles_scrubbed
-     << ", \"unrecovered_replicas\": " << unrecovered_replicas
-     << ", \"makespan_cycles\": " << makespan_cycles
+     << ", \"unrecovered_replicas\": " << unrecovered_replicas;
+  // Only a run with execution failures retries; leaving the key out at 0
+  // keeps the JSON of every failure-free run unchanged.
+  if (retries) os << ", \"retries\": " << retries;
+  os << ", \"makespan_cycles\": " << makespan_cycles
      << ", \"response_hash\": " << response_hash << "}";
   return os.str();
 }
@@ -248,6 +256,10 @@ FleetServer::FleetServer(std::vector<FleetModel> models,
   if (cfg_.hedge.enabled && cfg_.hedge.delay_cycles < 0) {
     throw ServeError(ServeError::Reason::kConfig,
                      "hedge delay must be >= 0 cycles");
+  }
+  if (cfg_.max_retries < 0) {
+    throw ServeError(ServeError::Reason::kConfig,
+                     "max_retries must be >= 0");
   }
   for (std::size_t mi = 0; mi < models_.size(); ++mi) {
     const FleetModel& m = models_[mi];
@@ -298,6 +310,19 @@ FleetServer::FleetServer(std::vector<FleetModel> models,
 
 FleetServer::~FleetServer() = default;
 
+FleetServer single_model_server(FleetModel model, std::size_t queue_capacity,
+                                long long deadline_cycles, FleetConfig cfg) {
+  TenantConfig t;
+  t.name = model.name;
+  t.queue_capacity = queue_capacity;
+  t.deadline_cycles = deadline_cycles;
+  t.batch_cap = 1;
+  t.batch_age_cycles = 0;
+  std::vector<FleetModel> models;
+  models.push_back(std::move(model));
+  return FleetServer(std::move(models), {std::move(t)}, cfg);
+}
+
 FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces) {
   return run(traces, fault::FleetFaultPlan{});
 }
@@ -311,10 +336,6 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
                          std::to_string(traces.size()));
   }
   for (std::size_t t = 0; t < traces.size(); ++t) {
-    if (traces[t].burst.active()) {
-      throw ServeError(ServeError::Reason::kConfig,
-                       "fleet traces do not support fault bursts");
-    }
     for (std::size_t i = 0; i < traces[t].requests.size(); ++i) {
       if (traces[t].requests[i].id != i) {
         throw ServeError(ServeError::Reason::kConfig,
@@ -335,6 +356,11 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
     if (e.kind == fault::FleetFaultKind::kSlow && e.slow_factor <= 1.0) {
       throw ServeError(ServeError::Reason::kConfig,
                        "slow-replica faults need slow_factor > 1");
+    }
+    if (e.kind == fault::FleetFaultKind::kPipelineBurst &&
+        e.burst_until <= e.cycle) {
+      throw ServeError(ServeError::Reason::kConfig,
+                       "pipeline bursts need burst_until > cycle");
     }
   }
 
@@ -381,6 +407,13 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
     std::size_t tenant = 0;
     std::uint64_t id = 0;
     long long arrival = 0;
+    int attempt = 1;
+    bool downgraded = false;  ///< out of retries: serve on conservative rung
+  };
+  struct Retry {
+    long long eligible = 0;  ///< failure cycle + backoff
+    bool woken = false;      ///< its eligibility event already fired
+    BatchItem item;
   };
   struct Replica {
     enum class Health : std::uint8_t { kHealthy, kQuarantined, kProbation };
@@ -420,6 +453,10 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
     std::vector<long long> service;  ///< per-rung service cycles
     std::deque<BatchItem> rescue;    ///< requeued at quarantine; served first
     std::deque<BatchItem> hedge_q;   ///< hedge copies awaiting a replica
+    std::deque<Retry> retry_q;  ///< sorted by (eligible, tenant, id)
+    long long backoff_base = 1;  ///< home service / 8
+    /// Active pipeline burst striking the home rung, or null.
+    const fault::FleetFaultEvent* burst = nullptr;
   };
   std::vector<ModelState> mstate(models_.size());
   std::vector<std::deque<std::uint64_t>> tq(tenants_.size());
@@ -444,6 +481,8 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
     for (const ServingMode& r : models_[m].ladder.rungs) {
       ms.service.push_back(r.service_cycles);
     }
+    ms.backoff_base = std::max<long long>(
+        ms.service[models_[m].ladder.home] / 8, 1);
   }
 
   struct InFlight {
@@ -528,7 +567,8 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
     Replica rep;
     rep.id = ms.next_replica_id++;
     rep.regime = std::make_unique<RegimeController>(
-        ms.service, models_[m].ladder.home, ms.cap_total, cfg_.regime);
+        ms.service.size(), models_[m].ladder.home, ms.cap_total,
+        cfg_.regime);
     rep.leases.resize(models_[m].ladder.rungs.size());
     BreakerConfig gate_cfg;
     gate_cfg.probe_successes = 1;  // single-probe probation
@@ -593,25 +633,41 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
       std::map<std::pair<std::size_t, int>,
                std::unique_ptr<arch::FusionPipeline>>
           pipes;
+      // Burst-struck twins, one per burst plan: private constants, so an
+      // installed fault can never reach the bundle peer replicas lease.
+      std::map<const fault::FaultPlan*, std::unique_ptr<arch::FusionPipeline>>
+          twins;
       FleetJob* job = nullptr;
       while (exec_q.pop(job)) {
         std::vector<std::uint32_t> crcs;
         arch::FusionPipeline* pipe = nullptr;
         try {
-          auto& slot = pipes[{job->model, job->rung}];
-          if (!slot) {
-            slot = std::make_unique<arch::FusionPipeline>(
-                models_[job->model].net, models_[job->model].ws,
-                models_[job->model]
-                    .ladder.rungs[static_cast<std::size_t>(job->rung)]
-                    .choices,
-                job->bundle);
+          const FleetModel& fm = models_[job->model];
+          const ServingMode& mode =
+              fm.ladder.rungs[static_cast<std::size_t>(job->rung)];
+          if (job->burst) {
+            auto& twin = twins[job->burst];
+            if (!twin) {
+              twin = std::make_unique<arch::FusionPipeline>(fm.net, fm.ws,
+                                                            mode.choices);
+              twin->install_fault_plan(*job->burst, mode.protect);
+            }
+            // Every struck batch starts from the same injector state, so
+            // its outcome cannot depend on which worker ran what before.
+            twin->reset();
+            pipe = twin.get();
+          } else {
+            auto& slot = pipes[{job->model, job->rung}];
+            if (!slot) {
+              slot = std::make_unique<arch::FusionPipeline>(
+                  fm.net, fm.ws, mode.choices, job->bundle);
+            }
+            pipe = slot.get();
           }
-          pipe = slot.get();
           pipe->set_cancel_token(&job->cancel);
           crcs.reserve(job->seeds.size());
           for (const std::uint32_t seed : job->seeds) {
-            nn::Tensor in(models_[job->model].net[0].out);
+            nn::Tensor in(fm.net[0].out);
             nn::fill_deterministic(in, seed);
             const nn::Tensor out = pipe->run(in);
             crcs.push_back(fault::crc32_f32(out.data(), out.vec().size()));
@@ -629,10 +685,10 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
   }
 
   // ---- The discrete-event loop. Event ties resolve fault strikes <
-  // completions < replica-ready < watchdog < hedge fire < batch-close
-  // timers < arrivals: faults land before anything else observes the cycle,
-  // capacity frees and comes online before sickness is judged, detection
-  // beats duplication, and both beat new admission.
+  // completions < replica-ready < watchdog < hedge fire < retry backoff <
+  // batch-close timers < arrivals: faults land before anything else observes
+  // the cycle, capacity frees and comes online before sickness is judged,
+  // detection beats duplication, and admitted work beats new admission.
   // Deterministic batch close rule: dispatch when pending >= the effective
   // cap (min over tenants with queued work) OR the oldest pending request
   // of some tenant has aged past that tenant's budget. Otherwise arm the
@@ -735,25 +791,33 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
       }
       if (k < 0) return;
       // Batch class priority: quarantine rescues, then hedge copies, then
-      // fresh DRR work. Rescue/hedge batches bypass the close rule — their
-      // requests were already admitted and are already late.
+      // retries whose backoff elapsed, then fresh DRR work. Rescue, hedge
+      // and retry batches bypass the close rule — their requests were
+      // already admitted and are already late. One batch runs on one rung,
+      // so a class stops at the first item whose downgrade flag differs.
       const std::size_t cap = model_cap(m);
       std::vector<BatchItem> batch;
       bool is_hedge = false;
-      while (!ms.rescue.empty() && batch.size() < cap) {
+      const auto fits = [&](const BatchItem& it) {
+        return batch.size() < cap &&
+               (batch.empty() || it.downgraded == batch.front().downgraded);
+      };
+      const auto shed_if_late = [&](const BatchItem& it) {
+        const TenantConfig& tc = tenants_[it.tenant];
+        if (tc.deadline_cycles == 0 || now <= it.arrival + tc.deadline_cycles) {
+          return false;
+        }
+        ++stats.tenants[it.tenant].shed_deadline;
+        req_state.erase(request_key(it.tenant, it.id));
+        return true;
+      };
+      while (!ms.rescue.empty() && fits(ms.rescue.front())) {
         const BatchItem it = ms.rescue.front();
         ms.rescue.pop_front();
-        const TenantConfig& tc = tenants_[it.tenant];
-        if (tc.deadline_cycles > 0 &&
-            now > it.arrival + tc.deadline_cycles) {
-          ++stats.tenants[it.tenant].shed_deadline;
-          req_state.erase(request_key(it.tenant, it.id));
-          continue;
-        }
-        batch.push_back(it);
+        if (!shed_if_late(it)) batch.push_back(it);
       }
       if (batch.empty()) {
-        while (!ms.hedge_q.empty() && batch.size() < cap) {
+        while (!ms.hedge_q.empty() && fits(ms.hedge_q.front())) {
           const BatchItem it = ms.hedge_q.front();
           ms.hedge_q.pop_front();
           auto st = req_state.find(request_key(it.tenant, it.id));
@@ -768,10 +832,20 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
           is_hedge = true;
         }
       }
+      if (batch.empty()) {
+        while (!ms.retry_q.empty() && ms.retry_q.front().eligible <= now &&
+               fits(ms.retry_q.front().item)) {
+          const BatchItem it = ms.retry_q.front().item;
+          ms.retry_q.pop_front();
+          if (!shed_if_late(it)) batch.push_back(it);
+        }
+      }
       if (batch.empty()) batch = form_batch(m, now);
       if (batch.empty()) return;
       Replica& rep = ms.replicas[static_cast<std::size_t>(k)];
-      const int rung = rep.regime->rung();
+      const int rung = batch.front().downgraded
+                           ? rep.regime->conservative_rung()
+                           : rep.regime->rung();
       acquire_rung(m, rep, rung, now);  // deterministic cache event
       const long long service =
           ms.service[static_cast<std::size_t>(rung)];
@@ -824,6 +898,12 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
       f.job->rung = rung;
       f.job->bundle =
           rep.leases[static_cast<std::size_t>(rung)]->bundle;
+      // A pipeline burst strikes the home rung only: the conservative and
+      // load-descended rungs run on pipelines the burst does not cover.
+      if (ms.burst && rung == static_cast<int>(models_[m].ladder.home) &&
+          now < ms.burst->burst_until) {
+        f.job->burst = &ms.burst->burst_plan;
+      }
       for (const BatchItem& it : f.items) {
         f.job->seeds.push_back(
             traces[it.tenant].requests[it.id].input_seed);
@@ -864,7 +944,6 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
           continue;
         }
         r.retired = true;
-        r.regime->finish(now);
         for (auto& lease : r.leases) {
           if (lease) cache.release(*lease);
           lease.reset();
@@ -942,6 +1021,28 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
     rep.gate->force_open(now, spinup);
   };
 
+  // Retry with backoff: base << (attempt - 1), capped at 4 x base. The
+  // attempt after the last home-rung retry is downgraded onto the
+  // conservative rung.
+  const auto schedule_retry = [&](std::size_t m, BatchItem it, long long now) {
+    ModelState& ms = mstate[m];
+    ++stats.retries;
+    Retry r;
+    r.eligible = now + (ms.backoff_base << std::min(it.attempt - 1, 2));
+    it.downgraded = it.attempt > cfg_.max_retries;
+    ++it.attempt;
+    r.item = it;
+    const auto key = [](const Retry& x) {
+      return std::tie(x.eligible, x.item.tenant, x.item.id);
+    };
+    ms.retry_q.insert(
+        std::upper_bound(ms.retry_q.begin(), ms.retry_q.end(), r,
+                         [&](const Retry& a, const Retry& b) {
+                           return key(a) < key(b);
+                         }),
+        r);
+  };
+
   const auto handle_completion = [&](InFlight f) {
     const long long now = f.completion;
     last_completion = std::max(last_completion, now);
@@ -959,9 +1060,17 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
       ReqState& st = st_it->second;
       --st.copies;
       if (!ok) {
-        // Failed execution: terminal only when this was the last copy.
+        // Failed execution of the request's last live copy: retry while the
+        // home-rung budget lasts, then once on the conservative rung. A
+        // failure anywhere else is terminal.
         if (st.copies == 0) {
-          if (!st.done) ++ts.failed;
+          if (!st.done) {
+            if (f.rung != home || it.downgraded) {
+              ++ts.failed;
+            } else {
+              schedule_retry(f.model, it, now);
+            }
+          }
           req_state.erase(st_it);
         }
         continue;
@@ -1090,6 +1199,11 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
   const auto apply_fault = [&](const fault::FleetFaultEvent& e) {
     const long long now = e.cycle;
     if (e.model >= models_.size()) return;
+    if (e.kind == fault::FleetFaultKind::kPipelineBurst) {
+      mstate[e.model].burst = &e;
+      health_log_.push_back({now, HealthEvent::Kind::kBurst, e.model, -1});
+      return;
+    }
     if (e.kind == fault::FleetFaultKind::kCorruptBundle) {
       const int rung = e.rung < 0
                            ? static_cast<int>(models_[e.model].ladder.home)
@@ -1151,6 +1265,7 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
         }
         break;
       case fault::FleetFaultKind::kCorruptBundle:
+      case fault::FleetFaultKind::kPipelineBurst:
         break;  // handled above
     }
   };
@@ -1162,7 +1277,9 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
       if (!q.empty()) return false;
     }
     for (const ModelState& ms : mstate) {
-      if (!ms.rescue.empty() || !ms.hedge_q.empty()) return false;
+      if (!ms.rescue.empty() || !ms.hedge_q.empty() || !ms.retry_q.empty()) {
+        return false;
+      }
     }
     return true;
   };
@@ -1199,17 +1316,22 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
         }
       }
       long long t_timer = kInf;
+      long long t_retry = kInf;
       for (const ModelState& ms : mstate) {
         t_timer = std::min(t_timer, ms.batch_timer);
+        for (const Retry& r : ms.retry_q) {
+          if (!r.woken) t_retry = std::min(t_retry, r.eligible);
+        }
       }
 
       if (t_fault < kInf && t_fault <= t_comp && t_fault <= t_ready &&
-          t_fault <= t_watch && t_fault <= t_hedge && t_fault <= t_timer &&
-          t_fault <= t_arr) {
+          t_fault <= t_watch && t_fault <= t_hedge && t_fault <= t_retry &&
+          t_fault <= t_timer && t_fault <= t_arr) {
         apply_fault(chaos.events[next_fault]);
         ++next_fault;
       } else if (t_comp < kInf && t_comp <= t_ready && t_comp <= t_watch &&
-                 t_comp <= t_hedge && t_comp <= t_timer && t_comp <= t_arr) {
+                 t_comp <= t_hedge && t_comp <= t_retry &&
+                 t_comp <= t_timer && t_comp <= t_arr) {
         // Earliest completion; ties broken by (model, replica, first item)
         // so the pick order is a pure function of the virtual schedule.
         std::size_t best = 0;
@@ -1230,8 +1352,8 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
         reap_deduped(t_comp);
         try_dispatch(m, t_comp);
       } else if (t_ready < kInf && t_ready <= t_watch &&
-                 t_ready <= t_hedge && t_ready <= t_timer &&
-                 t_ready <= t_arr) {
+                 t_ready <= t_hedge && t_ready <= t_retry &&
+                 t_ready <= t_timer && t_ready <= t_arr) {
         std::size_t best_m = 0;
         int best_r = -1;
         for (std::size_t m = 0; m < mstate.size() && best_r < 0; ++m) {
@@ -1257,7 +1379,8 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
         }
         try_dispatch(best_m, t_ready);
       } else if (t_watch < kInf && t_watch <= t_hedge &&
-                 t_watch <= t_timer && t_watch <= t_arr) {
+                 t_watch <= t_retry && t_watch <= t_timer &&
+                 t_watch <= t_arr) {
         // Watchdog: a batch overdue past watchdog_factor x nominal means
         // its replica wedged. Quarantine cancels + rescues the batch.
         std::size_t best = inflight.size();
@@ -1275,7 +1398,8 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
         const std::size_t ki = inflight[best].replica;
         quarantine(m, ki, t_watch);
         try_dispatch(m, t_watch);
-      } else if (t_hedge < kInf && t_hedge <= t_timer && t_hedge <= t_arr) {
+      } else if (t_hedge < kInf && t_hedge <= t_retry &&
+                 t_hedge <= t_timer && t_hedge <= t_arr) {
         // Hedge fire: clone the straggling batch's unfinished requests onto
         // the model's hedge queue; the next free replica picks them up.
         std::size_t best = inflight.size();
@@ -1300,6 +1424,19 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
           ++stats.hedges_fired;
         }
         try_dispatch(f.model, t_hedge);
+      } else if (t_retry < kInf && t_retry <= t_timer && t_retry <= t_arr) {
+        // Backoff elapsed: the retries become eligible for dispatch. If no
+        // replica is free now, the next completion or readiness picks them.
+        for (std::size_t m = 0; m < mstate.size(); ++m) {
+          bool woke = false;
+          for (Retry& r : mstate[m].retry_q) {
+            if (!r.woken && r.eligible == t_retry) {
+              r.woken = true;
+              woke = true;
+            }
+          }
+          if (woke) try_dispatch(m, t_retry);
+        }
       } else if (t_timer < kInf && t_timer <= t_arr) {
         for (std::size_t m = 0; m < mstate.size(); ++m) {
           if (mstate[m].batch_timer == t_timer) {
@@ -1378,14 +1515,12 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
     }
   }
 
-  // Close the rung timelines and fold them — plus the scale and
-  // fault-domain timelines — into the digest, exactly as Server does for
-  // its single ladder walk.
+  // Fold the rung timelines — plus the scale and fault-domain timelines —
+  // into the digest.
   for (std::size_t m = 0; m < models_.size(); ++m) {
     ModelState& ms = mstate[m];
     rung_logs_[m].resize(static_cast<std::size_t>(ms.next_replica_id));
     for (Replica& r : ms.replicas) {
-      if (!r.retired) r.regime->finish(last_completion);
       rung_logs_[m][static_cast<std::size_t>(r.id)] = r.regime->log();
       stats.models[m].rung_transitions +=
           static_cast<long long>(r.regime->log().size());
@@ -1430,7 +1565,8 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
   stats.response_hash += mix64(
       static_cast<std::uint64_t>(stats.requeued) * 0xA0761D6478BD642Full ^
       (static_cast<std::uint64_t>(stats.bundles_scrubbed) << 8) ^
-      static_cast<std::uint64_t>(stats.unrecovered_replicas));
+      static_cast<std::uint64_t>(stats.unrecovered_replicas) ^
+      (static_cast<std::uint64_t>(stats.retries) << 32));
   return stats;
 }
 

@@ -1,8 +1,10 @@
 #pragma once
-// Multi-tenant fleet simulator over the single-dispatcher virtual-time loop
-// (DESIGN.md §15). One FleetServer owns M models, each with its own
-// degradation ladder and a pool of replicas, serving T tenants whose
-// arrival traces interleave on one virtual clock:
+// The serving runtime: one single-dispatcher discrete-event loop in virtual
+// time (DESIGN.md §11, §14-§16). One FleetServer owns M models, each with its
+// own degradation ladder and a pool of replicas, serving T tenants whose
+// arrival traces interleave on one virtual clock. The single-model server
+// `hetacc --serve` runs is the special case of one model, one tenant and
+// batch 1 (single_model_server below).
 //
 //  * shared prepack cache — replicas of the same (model, rung) alias one
 //    refcounted PrepackBundle (serve/prepack_cache.h) instead of each
@@ -25,12 +27,16 @@
 //  * autoscale — streaks of pressure (queue above the up-watermark at
 //    arrivals) add replicas, streaks of idleness retire them, both gated by
 //    a per-model dwell so an oscillating trace cannot thrash the pool.
+//  * retry with backoff — a failed execution sends its requests back through
+//    dispatch after a deterministic capped-exponential backoff (base = home
+//    service / 8, cap = 4 x base); a request out of retries is downgraded
+//    onto the ladder's conservative rung.
 //
-// Determinism contract (same as serve/server.h): every stats-bearing
-// decision — admission, DRR order, batch composition and close cycle,
-// rung moves, scale moves, cache hits — is made by the dispatcher thread in
-// virtual time, so FleetStats (histograms, hash, timelines included) is
-// byte-identical for any worker-thread count. Worker threads only grind the
+// Determinism contract: every stats-bearing decision — admission, DRR
+// order, batch composition and close cycle, rung moves, scale moves, cache
+// hits, retries — is made by the dispatcher thread in virtual time, so
+// FleetStats (histograms, hash, timelines included) is byte-identical for
+// any worker-thread count. Worker threads only grind the
 // functional pipeline work that yields each response's CRC.
 
 #include <cstdint>
@@ -41,7 +47,8 @@
 
 #include "fault/fleet_fault.h"
 #include "serve/prepack_cache.h"
-#include "serve/server.h"
+#include "serve/regime.h"
+#include "serve/serving_ladder.h"
 #include "serve/stats.h"
 #include "serve/trace.h"
 
@@ -142,6 +149,9 @@ struct FleetConfig {
   AutoscaleConfig autoscale;
   HealthConfig health;
   HedgeConfig hedge;
+  /// Home-rung retries per request after a failed execution; a request out
+  /// of retries gets one attempt on the model's conservative rung.
+  int max_retries = 2;
 };
 
 struct TenantStats {
@@ -196,6 +206,8 @@ struct FleetStats {
   long long requeued = 0;      ///< in-flight requests rescued at quarantine
   long long bundles_scrubbed = 0;  ///< corrupted residents caught by CRC
   long long unrecovered_replicas = 0;  ///< not healthy when the run ended
+  long long retries = 0;  ///< requests sent back after a failed execution
+                          ///< (in to_json() only when non-zero)
 
   /// Order-independent digest: every response CRC keyed by (tenant, id),
   /// every rung transition of every replica, every scale event, and the
@@ -233,6 +245,7 @@ struct HealthEvent {
     kReadmit,      ///< probe succeeded; replica healthy again
     kProbeFail,    ///< probe failed; back to quarantine
     kScrub,        ///< corrupted bundle caught on lease and re-derived
+    kBurst,        ///< plan strike: pipeline fault burst (replica = -1)
   };
   long long cycle = 0;
   Kind kind = Kind::kQuarantine;
@@ -244,9 +257,9 @@ struct HealthEvent {
 
 class FleetServer {
  public:
-  /// Validates every model's ladder (Server rules: non-empty, home in
-  /// range, deeper rungs strictly faster) and every tenant (live model
-  /// index, weight >= 1, cap >= 1). Throws ServeError(kConfig) otherwise.
+  /// Validates every model's ladder (non-empty, home in range, deeper rungs
+  /// strictly faster) and every tenant (live model index, weight >= 1,
+  /// cap >= 1). Throws ServeError(kConfig) otherwise.
   FleetServer(std::vector<FleetModel> models,
               std::vector<TenantConfig> tenants, FleetConfig cfg);
   ~FleetServer();
@@ -255,9 +268,8 @@ class FleetServer {
   FleetServer& operator=(const FleetServer&) = delete;
 
   /// Serves the tenants' traces (index-aligned with the tenant list; ids
-  /// dense from 0 within each trace; fault bursts are not supported in the
-  /// fleet loop). Deterministic for a given (traces, config) regardless of
-  /// cfg.threads.
+  /// dense from 0 within each trace). Deterministic for a given (traces,
+  /// config) regardless of cfg.threads.
   [[nodiscard]] FleetStats run(const std::vector<ArrivalTrace>& traces);
 
   /// Chaos run: the same loop with `plan` merged in as the
@@ -265,7 +277,8 @@ class FleetServer {
   /// completions at the same cycle). Plan events later than the last live
   /// fleet event never strike — the campaign out-ran the trace. Corruption
   /// events require share_prepack (the per-copy baseline has no shared
-  /// resident to flip). Deterministic for any cfg.threads, plan included.
+  /// resident to flip); pipeline bursts need a window that ends after it
+  /// starts. Deterministic for any cfg.threads, plan included.
   [[nodiscard]] FleetStats run(const std::vector<ArrivalTrace>& traces,
                                const fault::FleetFaultPlan& plan);
 
@@ -299,5 +312,13 @@ class FleetServer {
   std::vector<ScaleEvent> scale_log_;
   std::vector<HealthEvent> health_log_;
 };
+
+/// The single-model server: `model` with its replicas behind one tenant
+/// (named after the model) that serves every request at batch 1
+/// (batch_cap = 1, batch_age_cycles = 0). `hetacc --serve` runs this.
+[[nodiscard]] FleetServer single_model_server(FleetModel model,
+                                              std::size_t queue_capacity,
+                                              long long deadline_cycles,
+                                              FleetConfig cfg = {});
 
 }  // namespace hetacc::serve

@@ -9,26 +9,20 @@ std::string_view to_string(RungMove m) {
   switch (m) {
     case RungMove::kLoadDescend: return "load";
     case RungMove::kLoadAscend: return "load-recover";
-    case RungMove::kBreakerDegrade: return "breaker";
-    case RungMove::kBreakerRestore: return "breaker-recover";
   }
   return "?";
 }
 
-RegimeController::RegimeController(std::vector<long long> service_cycles,
-                                   std::size_t home,
+RegimeController::RegimeController(std::size_t rungs, std::size_t home,
                                    std::size_t queue_capacity,
                                    RegimeConfig cfg)
-    : service_cycles_(std::move(service_cycles)),
-      home_(static_cast<int>(home)),
-      deepest_(static_cast<int>(service_cycles_.size()) - 1),
+    : home_(static_cast<int>(home)),
+      deepest_(static_cast<int>(rungs) - 1),
       cfg_(cfg),
-      load_rung_(static_cast<int>(home)),
-      effective_(static_cast<int>(home)),
+      rung_(static_cast<int>(home)),
       miss_ring_(static_cast<std::size_t>(std::max(cfg.miss_window, 1)),
-                 false),
-      cycles_(service_cycles_.size(), 0) {
-  // PR 5 semantics: the breaker degrades onto the rung just above home (the
+                 false) {
+  // A request out of retries degrades onto the rung just above home (the
   // --protect re-optimization). A home-rung-0 ladder has no conservative
   // rung above it, so the first deeper rung stands in; a ladder of one rung
   // degrades onto itself (shed-only operation).
@@ -44,29 +38,9 @@ RegimeController::RegimeController(std::vector<long long> service_cycles,
       std::max(0.0, std::floor(cap * cfg_.ascend_queue_frac)));
 }
 
-void RegimeController::set_effective(long long now, int to, RungMove reason) {
-  if (to == effective_) return;
-  cycles_[static_cast<std::size_t>(effective_)] +=
-      std::max<long long>(now - integrated_until_, 0);
-  integrated_until_ = std::max(integrated_until_, now);
-  log_.push_back({now, effective_, to, reason});
-  effective_ = to;
-}
-
-void RegimeController::refresh_effective(long long now, RungMove reason) {
-  // The breaker only needs to push traffic off the home rung; a
-  // load-descended rung is already off the primary (and never struck by the
-  // trace's fault burst), so the deeper rung wins while overloaded.
-  const int want = breaker_degraded_ && load_rung_ == home_ ? conservative_
-                                                            : load_rung_;
-  set_effective(now, want, reason);
-}
-
-void RegimeController::on_breaker(long long now, bool degraded) {
-  if (degraded == breaker_degraded_) return;
-  breaker_degraded_ = degraded;
-  refresh_effective(now, degraded ? RungMove::kBreakerDegrade
-                                  : RungMove::kBreakerRestore);
+void RegimeController::move_to(long long now, int to, RungMove reason) {
+  log_.push_back({now, rung_, to, reason});
+  rung_ = to;
 }
 
 void RegimeController::observe_queue(long long now, std::size_t depth) {
@@ -96,13 +70,12 @@ void RegimeController::step(long long now) {
     calm_streak_ = 0;
     // Fast descent — but only onto rungs that actually buy throughput
     // (deeper-than-home rungs are strictly faster by construction). On a
-    // PR 5 pair [fallback, primary] home is the deepest rung, so load
-    // pressure never moves anything and the behavior is exactly PR 5.
-    if (load_rung_ < deepest_ &&
+    // [fallback, primary] pair home is the deepest rung, so load pressure
+    // never moves anything.
+    if (rung_ < deepest_ &&
         now - last_move_cycle_ >= cfg_.descend_dwell_cycles) {
-      ++load_rung_;
       last_move_cycle_ = now;
-      refresh_effective(now, RungMove::kLoadDescend);
+      move_to(now, rung_ + 1, RungMove::kLoadDescend);
     }
     return;
   }
@@ -114,19 +87,12 @@ void RegimeController::step(long long now) {
   // requiring a fresh calm streak, so recovery cannot flap against a load
   // oscillation shorter than the ascend dwell.
   ++calm_streak_;
-  if (load_rung_ > home_ && calm_streak_ >= cfg_.ascend_calm_streak &&
+  if (rung_ > home_ && calm_streak_ >= cfg_.ascend_calm_streak &&
       now - last_move_cycle_ >= cfg_.ascend_dwell_cycles) {
-    --load_rung_;
     last_move_cycle_ = now;
     calm_streak_ = 0;
-    refresh_effective(now, RungMove::kLoadAscend);
+    move_to(now, rung_ - 1, RungMove::kLoadAscend);
   }
-}
-
-void RegimeController::finish(long long now) {
-  cycles_[static_cast<std::size_t>(effective_)] +=
-      std::max<long long>(now - integrated_until_, 0);
-  integrated_until_ = std::max(integrated_until_, now);
 }
 
 }  // namespace hetacc::serve

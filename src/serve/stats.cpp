@@ -67,78 +67,4 @@ bool LatencyHistogram::operator==(const LatencyHistogram& o) const {
   return samples_ == o.samples_;
 }
 
-bool ServerStats::operator==(const ServerStats& o) const {
-  return submitted == o.submitted &&
-         rejected_queue_full == o.rejected_queue_full &&
-         shed_deadline == o.shed_deadline && completed == o.completed &&
-         failed == o.failed && completed_degraded == o.completed_degraded &&
-         deadline_misses == o.deadline_misses && retries == o.retries &&
-         faults_absorbed == o.faults_absorbed &&
-         breaker_opens == o.breaker_opens &&
-         breaker_closes == o.breaker_closes && queue_peak == o.queue_peak &&
-         rung_completions == o.rung_completions &&
-         rung_cycles == o.rung_cycles &&
-         rung_transitions == o.rung_transitions &&
-         response_hash == o.response_hash && latency == o.latency;
-}
-
-std::string ServerStats::summary() const {
-  std::ostringstream os;
-  os << "  submitted   " << submitted << "\n"
-     << "  completed   " << completed << " (" << completed_degraded
-     << " degraded, " << deadline_misses << " past deadline)\n"
-     << "  rejected    " << rejected_queue_full << " (queue full)\n"
-     << "  shed        " << shed_deadline << " (already late)\n"
-     << "  failed      " << failed << "\n"
-     << "  retries     " << retries << ", faults absorbed "
-     << faults_absorbed << "\n"
-     << "  breaker     " << breaker_opens << " opens, " << breaker_closes
-     << " closes\n"
-     << "  queue peak  " << queue_peak << "\n";
-  if (!rung_completions.empty()) {
-    os << "  rungs       ";
-    for (std::size_t i = 0; i < rung_completions.size(); ++i) {
-      if (i) os << " / ";
-      os << "r" << i << ":" << rung_completions[i];
-    }
-    os << " completions, " << rung_transitions << " transitions\n";
-  }
-  os << "  latency     p50 " << latency.p50() << "  p99 " << latency.p99()
-     << "  max " << latency.max() << " cycles\n"
-     << "  accounted   " << (accounted() ? "yes" : "NO — REQUESTS LOST")
-     << "\n";
-  return os.str();
-}
-
-std::string ServerStats::to_json() const {
-  std::ostringstream os;
-  os << "{\"submitted\": " << submitted
-     << ", \"completed\": " << completed
-     << ", \"completed_degraded\": " << completed_degraded
-     << ", \"rejected_queue_full\": " << rejected_queue_full
-     << ", \"shed_deadline\": " << shed_deadline
-     << ", \"failed\": " << failed << ", \"retries\": " << retries
-     << ", \"faults_absorbed\": " << faults_absorbed
-     << ", \"deadline_misses\": " << deadline_misses
-     << ", \"breaker_opens\": " << breaker_opens
-     << ", \"breaker_closes\": " << breaker_closes
-     << ", \"queue_peak\": " << queue_peak
-     << ", \"rung_completions\": [";
-  for (std::size_t i = 0; i < rung_completions.size(); ++i) {
-    if (i) os << ", ";
-    os << rung_completions[i];
-  }
-  os << "], \"rung_cycles\": [";
-  for (std::size_t i = 0; i < rung_cycles.size(); ++i) {
-    if (i) os << ", ";
-    os << rung_cycles[i];
-  }
-  os << "], \"rung_transitions\": " << rung_transitions
-     << ", \"latency_p50\": " << latency.p50()
-     << ", \"latency_p99\": " << latency.p99()
-     << ", \"latency_max\": " << latency.max()
-     << ", \"response_hash\": " << response_hash << "}";
-  return os.str();
-}
-
 }  // namespace hetacc::serve

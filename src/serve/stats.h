@@ -1,11 +1,8 @@
 #pragma once
-// Serving-runtime statistics snapshot. Every number here is derived from
-// virtual-clock events, so for a given trace + seed + server config the
-// whole struct — histogram included — is byte-identical for any worker
-// thread count (the determinism contract test_serve pins). The invariant
-// `accounted()` is the zero-lost-requests guarantee the CI soak asserts:
-// every submitted request ends in exactly one of completed / rejected /
-// shed / failed.
+// Serving-runtime statistics primitives shared by FleetStats (fleet.h): the
+// digest mixer and the exact latency histogram. Every number they hold is
+// derived from virtual-clock events, so for given traces and config they are
+// byte-identical for any worker thread count.
 
 #include <cstdint>
 #include <string>
@@ -14,9 +11,9 @@
 namespace hetacc::serve {
 
 /// splitmix64 finalizer — the shared counter-hash primitive every serving
-/// response digest folds with (single server, fleet, and the fault layer's
-/// identity hashes all use the same mixer, so digests compose). Pure and
-/// constexpr: a digest is a function of virtual-time event order only.
+/// response digest folds with (the fleet and the fault layer's identity
+/// hashes use the same mixer, so digests compose). Pure and constexpr: a
+/// digest is a function of virtual-time event order only.
 [[nodiscard]] constexpr std::uint64_t digest_mix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
@@ -53,53 +50,6 @@ class LatencyHistogram {
   mutable std::vector<long long> samples_;
   mutable bool sorted_ = true;
   void sort() const;
-};
-
-struct ServerStats {
-  // Request accounting (each submitted request lands in exactly one bin).
-  long long submitted = 0;
-  long long rejected_queue_full = 0;  ///< admission control said no
-  long long shed_deadline = 0;        ///< dropped: already late at dispatch
-  long long completed = 0;            ///< response delivered
-  long long failed = 0;               ///< every attempt + fallback faulted
-
-  // Lifecycle detail.
-  long long completed_degraded = 0;   ///< served from the fallback strategy
-  long long deadline_misses = 0;      ///< completed, but after the deadline
-  long long retries = 0;              ///< re-dispatches after a fault
-  long long faults_absorbed = 0;      ///< faulted attempts that a retry or
-                                      ///< the fallback strategy hid
-  long long breaker_opens = 0;
-  long long breaker_closes = 0;
-  long long queue_peak = 0;           ///< max virtual queue occupancy
-
-  // Degradation-ladder accounting (index-aligned with the ladder rungs;
-  // sized by Server::run). A two-rung PR 5 pair reports here too:
-  // rung_completions = {fallback, primary} completions.
-  std::vector<long long> rung_completions;
-  /// Virtual cycles the effective rung pointer spent at each rung.
-  std::vector<long long> rung_cycles;
-  long long rung_transitions = 0;     ///< moves in the rung-transition log
-
-  LatencyHistogram latency;           ///< completed requests, cycles
-
-  /// Order-independent digest of every delivered response payload (CRC-32
-  /// of the output tensor folded with the request id), plus the full rung
-  /// transition log folded in at the end of the run. Two runs that agree
-  /// here delivered bitwise-identical answers to every request *and*
-  /// walked the degradation ladder identically.
-  std::uint64_t response_hash = 0;
-
-  /// Zero-lost-requests invariant.
-  [[nodiscard]] bool accounted() const {
-    return submitted ==
-           rejected_queue_full + shed_deadline + completed + failed;
-  }
-
-  bool operator==(const ServerStats& o) const;
-
-  [[nodiscard]] std::string summary() const;
-  [[nodiscard]] std::string to_json() const;
 };
 
 }  // namespace hetacc::serve

@@ -1,16 +1,13 @@
 #pragma once
 // Arrival traces for the serving runtime: a deterministic request stream
-// (id, arrival cycle, input seed) plus an optional mid-trace fault burst —
-// a window of virtual time during which the primary accelerator is struck
-// by an installed FaultPlan. Traces are value types: generate one
+// (id, arrival cycle, input seed). Traces are value types: generate one
 // synthetically from a seed, or load/save the CSV form (`hetacc --serve
-// trace.csv`). Same trace + same server config ⇒ same ServerStats, always.
+// trace.csv`). Same traces + same fleet config ⇒ same FleetStats, always.
+// Faults are not part of a trace: they arrive as a fault::FleetFaultPlan.
 
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "fault/fault.h"
 
 namespace hetacc::serve {
 
@@ -23,25 +20,8 @@ struct TraceRequest {
   std::uint32_t input_seed = 0;
 };
 
-/// A transient-degradation window: requests dispatched to the primary
-/// strategy inside [from_cycle, until_cycle) run against a pipeline with
-/// `plan` installed. Outside the window the primary is healthy.
-struct FaultBurst {
-  long long from_cycle = -1;
-  long long until_cycle = -1;
-  fault::FaultPlan plan;
-
-  [[nodiscard]] bool active() const {
-    return from_cycle >= 0 && until_cycle > from_cycle;
-  }
-  [[nodiscard]] bool covers(long long cycle) const {
-    return active() && cycle >= from_cycle && cycle < until_cycle;
-  }
-};
-
 struct ArrivalTrace {
   std::vector<TraceRequest> requests;
-  FaultBurst burst;
 
   /// Deterministic synthetic trace: `n` requests with hash-jittered
   /// inter-arrival gaps around `mean_interarrival_cycles` (uniform in

@@ -13,8 +13,9 @@
 //   kFault      (4)  a fault-injection campaign detected an unrecovered
 //                    hardware fault (wedged FIFO, uncorrectable burst, ...)
 //   kServe      (5)  the serving runtime refused or abandoned a request
-//                    (queue full, deadline blown, run cancelled, breaker
-//                    stuck open) — the request-lifecycle analogue of kFault
+//                    (queue full, deadline blown, run cancelled, request
+//                    failed on a degraded rung) — the request-lifecycle
+//                    analogue of kFault
 //   kInternal   (1)  invariant violation inside the toolflow itself
 
 #include <stdexcept>

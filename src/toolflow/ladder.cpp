@@ -217,16 +217,15 @@ serve::ServingLadder ServingLadderPlan::to_serving_modes(
     serve::ServingMode m;
     m.label = r.label;
     m.service_cycles = r.service_cycles;
+    m.choices = arch::choices_of(r.strategy);
     std::size_t k = 0;
     for (const auto& g : r.strategy.groups) {
       for (const auto& ipl : g.impls) {
-        arch::LayerChoice ch{ipl.cfg.algo, ipl.cfg.wino_m, {}};
         if (ipl.cfg.int8 && k < modes_i8.size()) {
-          ch.mode = modes_i8[k];
+          m.choices[k].mode = modes_i8[k];
         } else if (k < modes16.size()) {
-          ch.mode = modes16[k];
+          m.choices[k].mode = modes16[k];
         }
-        m.choices.push_back(ch);
         ++k;
       }
     }

@@ -26,7 +26,7 @@
 #include "core/dp_optimizer.h"
 #include "core/report.h"
 #include "core/strategy_io.h"
-#include "serve/server.h"
+#include "serve/serving_ladder.h"
 
 namespace hetacc::toolflow {
 

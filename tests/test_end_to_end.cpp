@@ -81,13 +81,8 @@ TEST(EndToEnd, PrototxtToValidatedCsim) {
   //    simulator (same weights the generated code embeds).
   const auto ws =
       nn::WeightStore::deterministic(result.accel_net, opt.weight_seed);
-  std::vector<arch::LayerChoice> choices;
-  for (const auto& g : result.optimization.strategy.groups) {
-    for (const auto& ipl : g.impls) {
-      choices.push_back({ipl.cfg.algo, ipl.cfg.wino_m, {}});
-    }
-  }
-  arch::FusionPipeline pipe(result.accel_net, ws, choices);
+  arch::FusionPipeline pipe(result.accel_net, ws,
+                           arch::choices_of(result.optimization.strategy));
   nn::Tensor image(result.accel_net[0].out);
   nn::fill_deterministic(image, 123);
   const nn::Tensor golden = nn::run_network(result.accel_net, ws, image);

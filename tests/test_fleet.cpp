@@ -2,12 +2,15 @@
 // reset() never invalidates peers), the refcounted PrepackCache, the
 // deterministic batch close rule and its edge cases, weighted-fair (DRR)
 // admission, replica autoscale, the one-shared-worker-pool execution model,
+// fault domains (replica strikes, pipeline bursts, retry and quarantine),
 // and the fleet determinism contract — same traces + config produce
 // byte-identical FleetStats for any worker-thread count.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -710,6 +713,67 @@ TEST(FleetChaosTest, ChaosStatsAreByteIdenticalForAnyThreadCount) {
   EXPECT_TRUE(runs[0] == runs[2]);
   EXPECT_EQ(runs[0].to_json(), runs[1].to_json());
   EXPECT_EQ(runs[0].to_json(), runs[2].to_json());
+}
+
+// The single-model server's fault path: a pipeline burst wedges every
+// home-rung execution for a window. Failed batches retry with backoff,
+// requests out of retries finish on the conservative rung, and replicas that
+// keep failing walk quarantine -> probe -> readmit — nothing fails, nothing
+// is lost, and the whole walk is thread-count invariant.
+TEST(FleetChaosTest, HomeRungBurstIsAbsorbedByRetryDowngradeAndQuarantine) {
+  const ArrivalTrace trace = ArrivalTrace::synthetic(90, 800, 7);
+  fault::FleetFaultEvent burst;
+  burst.kind = fault::FleetFaultKind::kPipelineBurst;
+  burst.cycle = trace.last_arrival() / 3;
+  burst.burst_until = 2 * trace.last_arrival() / 3;
+  burst.burst_plan.wedge_channel = 0;
+  burst.burst_plan.wedge_after_pushes = 2;
+
+  std::vector<FleetStats> runs;
+  for (const int threads : {1, 2, 8}) {
+    FleetConfig cfg;
+    cfg.threads = threads;
+    FleetServer fleet =
+        serve::single_model_server(tiny_model("m", 2, {1600, 1000}, 1),
+                                   /*queue_capacity=*/64,
+                                   /*deadline_cycles=*/0, cfg);
+    runs.push_back(fleet.run({trace}, plan_of({burst})));
+    const auto& log = fleet.health_log();
+    const auto count = [&](HealthEvent::Kind k) {
+      return std::count_if(log.begin(), log.end(),
+                           [&](const HealthEvent& e) { return e.kind == k; });
+    };
+    EXPECT_EQ(count(HealthEvent::Kind::kBurst), 1);
+    EXPECT_GE(count(HealthEvent::Kind::kQuarantine), 1);
+    EXPECT_GE(count(HealthEvent::Kind::kReadmit), 1);
+    // The walk ends recovered: each replica's last health event is a readmit.
+    std::map<int, HealthEvent::Kind> last;
+    for (const HealthEvent& e : log) {
+      if (e.replica >= 0) last[e.replica] = e.kind;
+    }
+    for (const auto& [replica, kind] : last) {
+      EXPECT_EQ(kind, HealthEvent::Kind::kReadmit) << "replica " << replica;
+    }
+  }
+  const FleetStats& s = runs[0];
+  ASSERT_TRUE(s.accounted());
+  EXPECT_EQ(s.tenants[0].failed, 0);
+  EXPECT_EQ(s.tenants[0].completed, 90);
+  EXPECT_GT(s.retries, 0);
+  EXPECT_GT(s.models[0].rung_completions[0], 0);  // the conservative rung
+  EXPECT_GE(s.quarantines, 1);
+  EXPECT_GE(s.readmits, 1);
+  EXPECT_EQ(s.unrecovered_replicas, 0);
+  EXPECT_TRUE(runs[0] == runs[1]);
+  EXPECT_TRUE(runs[0] == runs[2]);
+  EXPECT_EQ(runs[0].to_json(), runs[1].to_json());
+  EXPECT_EQ(runs[0].to_json(), runs[2].to_json());
+
+  // A window that ends before it starts is a configuration error.
+  burst.burst_until = burst.cycle;
+  FleetServer fleet = serve::single_model_server(
+      tiny_model("m", 2, {1600, 1000}, 1), 64, 0);
+  EXPECT_THROW((void)fleet.run({trace}, plan_of({burst})), ServeError);
 }
 
 // -------------------------------------------------------- canned campaigns --

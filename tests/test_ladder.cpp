@@ -1,9 +1,9 @@
 // Degradation-ladder tests: the RegimeController's hysteresis state machine
-// in isolation, the Server walking a multi-rung ladder under oscillating
-// load (descend fast, recover slowly, never flap), the PR 5 binary pair as
-// the exact two-rung special case, thread-count invariance of the rung
-// timeline, the toolflow ladder builder's monotonicity/home invariants on
-// AlexNet, and the multi-strategy ladder CSV round trip with typed,
+// in isolation, the single-model server (the fleet loop at one model, one
+// tenant, batch 1) walking a multi-rung ladder under oscillating load
+// (descend fast, recover slowly, never flap), thread-count invariance of the
+// rung timeline, the toolflow ladder builder's monotonicity/home invariants
+// on AlexNet, and the multi-strategy ladder CSV round trip with typed,
 // line-numbered parse errors.
 
 #include <gtest/gtest.h>
@@ -14,8 +14,8 @@
 
 #include "core/strategy_io.h"
 #include "nn/model_zoo.h"
+#include "serve/fleet.h"
 #include "serve/regime.h"
-#include "serve/server.h"
 #include "serve/trace.h"
 #include "support/error.h"
 #include "toolflow/ladder.h"
@@ -27,10 +27,10 @@ namespace {
 // RegimeController unit tests: drive the virtual-time signals directly.
 
 RegimeController make_controller(RegimeConfig cfg = {}) {
-  // Three rungs, home in the middle: {conservative 2000, home 1000, deep
-  // 500}, admission queue of 16 → descend watermark 12, ascend watermark 4.
-  return RegimeController({2000, 1000, 500}, /*home=*/1,
-                          /*queue_capacity=*/16, cfg);
+  // Three rungs, home in the middle: {conservative, home, deep}, admission
+  // queue of 16 → descend watermark 12, ascend watermark 4.
+  return RegimeController(/*rungs=*/3, /*home=*/1, /*queue_capacity=*/16,
+                          cfg);
 }
 
 TEST(RegimeController, DescendsFastUnderQueuePressure) {
@@ -101,39 +101,10 @@ TEST(RegimeController, DeadlineMissWindowAlsoDescends) {
   EXPECT_EQ(rc.log()[0].reason, RungMove::kLoadDescend);
 }
 
-TEST(RegimeController, BreakerAxisUsesConservativeRungOnlyAtHome) {
-  RegimeController rc = make_controller();
-  rc.on_breaker(500, true);
-  EXPECT_EQ(rc.rung(), 0);  // off home, onto the protect rung above it
-  rc.on_breaker(900, false);
-  EXPECT_EQ(rc.rung(), 1);
-  ASSERT_EQ(rc.log().size(), 2u);
-  EXPECT_EQ(rc.log()[0].reason, RungMove::kBreakerDegrade);
-  EXPECT_EQ(rc.log()[1].reason, RungMove::kBreakerRestore);
-
-  // While load-descended the deep rung is already off the primary: a
-  // breaker trip moves nothing.
-  rc.observe_queue(2000, 14);
-  ASSERT_EQ(rc.rung(), 2);
-  rc.on_breaker(2500, true);
-  EXPECT_EQ(rc.rung(), 2);
-  EXPECT_EQ(rc.log().size(), 3u);  // just the load descent appended
-}
-
-TEST(RegimeController, TimeInRungAccountingCoversTheWholeRun) {
-  RegimeController rc = make_controller();
-  rc.observe_queue(1000, 14);  // home → deep at cycle 1000
-  rc.finish(5000);
-  const std::vector<long long>& cyc = rc.cycles_in_rung();
-  ASSERT_EQ(cyc.size(), 3u);
-  EXPECT_EQ(cyc[0], 0);
-  EXPECT_EQ(cyc[1], 1000);
-  EXPECT_EQ(cyc[2], 4000);
-}
-
 // ---------------------------------------------------------------------------
 // Server-level ladder behavior. Mirrors test_serve.cpp's ServerTest shape:
-// a tiny functional net with hand-priced serving modes.
+// a tiny functional net with hand-priced serving modes, served by the
+// single-model fleet.
 
 class LadderServerTest : public ::testing::Test {
  protected:
@@ -156,21 +127,13 @@ class LadderServerTest : public ::testing::Test {
     return l;
   }
 
-  /// Breaker effectively disabled so only the load axis moves rungs —
-  /// the fault axis has its own tests in test_serve.cpp.
-  static ServerConfig load_config() {
-    ServerConfig cfg;
-    cfg.queue_capacity = 32;
-    cfg.replicas = 2;
-    cfg.deadline_cycles = 4000;
-    cfg.max_retries = 1;
-    cfg.backoff_base_cycles = 125;
-    cfg.backoff_cap_cycles = 2000;
-    cfg.breaker.failure_threshold = 1 << 20;
-    cfg.breaker.deadline_miss_threshold = 1 << 20;
-    cfg.breaker.cooldown_cycles = 2000;
-    cfg.breaker.probe_successes = 2;
-    return cfg;
+  /// Two replicas, queue 32, deadline 4000 cycles.
+  FleetServer server(ServingLadder ladder, int threads = 0) const {
+    FleetConfig cfg;
+    cfg.threads = threads;
+    return single_model_server({"tiny", net_, ws_, std::move(ladder), 2},
+                               /*queue_capacity=*/32,
+                               /*deadline_cycles=*/4000, cfg);
   }
 
   /// Square-wave load against home service time 1000 on 2 replicas
@@ -196,118 +159,89 @@ class LadderServerTest : public ::testing::Test {
 };
 
 TEST_F(LadderServerTest, RejectsMalformedLadders) {
-  const ServerConfig cfg = load_config();
   ServingLadder empty;
-  EXPECT_THROW(Server(net_, ws_, empty, cfg), ServeError);
+  EXPECT_THROW((void)server(empty), ServeError);
 
   ServingLadder bad_home = ladder3();
   bad_home.home = 3;
-  EXPECT_THROW(Server(net_, ws_, bad_home, cfg), ServeError);
+  EXPECT_THROW((void)server(bad_home), ServeError);
 
   // Deeper-than-home rungs must be strictly faster...
   ServingLadder flat = ladder3();
   flat.rungs[2].service_cycles = flat.rungs[1].service_cycles;
-  EXPECT_THROW(Server(net_, ws_, flat, cfg), ServeError);
+  EXPECT_THROW((void)server(flat), ServeError);
 
-  // ...but above home, equal pricing is legal (the PR 5 pair may price
-  // both modes identically).
+  // ...but above home, equal pricing is legal (a primary/fallback pair may
+  // price both modes identically).
   ServingLadder eq_above = ladder3();
   eq_above.rungs[0].service_cycles = eq_above.rungs[1].service_cycles;
-  EXPECT_NO_THROW(Server(net_, ws_, eq_above, cfg));
-}
-
-TEST_F(LadderServerTest, TwoRungLadderIsByteIdenticalToTheLegacyPair) {
-  // The PR 5 ctor is defined as the [fallback, primary] home=1 ladder; the
-  // stats (response hash included) and the rung log must agree exactly.
-  ServerConfig cfg = load_config();
-  cfg.breaker.failure_threshold = 2;  // the real PR 5 breaker, faults on
-  cfg.breaker.deadline_miss_threshold = 4;
-  ArrivalTrace t = ArrivalTrace::synthetic(60, 800, 7);
-  const long long span = t.last_arrival();
-  t.burst.from_cycle = span / 3;
-  t.burst.until_cycle = 2 * span / 3;
-  t.burst.plan.seed = 7;
-  t.burst.plan.wedge_channel = 0;
-  t.burst.plan.wedge_after_pushes = 2;
-
-  Server legacy(net_, ws_, mode(1000), mode(1600), cfg);
-  const ServerStats s_legacy = legacy.run(t);
-
-  ServingLadder pair;
-  pair.rungs = {mode(1600, "fallback"), mode(1000, "primary")};
-  pair.home = 1;
-  Server ladder(net_, ws_, pair, cfg);
-  const ServerStats s_ladder = ladder.run(t);
-
-  EXPECT_TRUE(s_legacy == s_ladder);
-  expect_same_rung_log(legacy.rung_log(), ladder.rung_log());
-  ASSERT_EQ(legacy.breaker_log().size(), ladder.breaker_log().size());
+  EXPECT_NO_THROW((void)server(eq_above));
 }
 
 TEST_F(LadderServerTest, OscillatingLoadDescendsThenRecoversWithoutFlap) {
-  Server s(net_, ws_, ladder3(), load_config());
-  const ServerStats st = s.run(osc_trace());
+  FleetServer s = server(ladder3());
+  const FleetStats st = s.run({osc_trace()});
   EXPECT_TRUE(st.accounted());
 
   // The load axis must both degrade under the bursts and climb back in the
-  // lulls — and the dwell gates must keep the walk far below one move per
-  // phase boundary.
-  long long descents = 0, recoveries = 0;
-  for (const RungTransition& tr : s.rung_log()) {
-    descents += tr.reason == RungMove::kLoadDescend;
-    recoveries += tr.reason == RungMove::kLoadAscend;
+  // lulls — and the dwell gates must keep the whole run, summed over every
+  // replica's walk, far below one move per phase boundary.
+  long long descents = 0, recoveries = 0, moves = 0;
+  ASSERT_EQ(s.rung_logs().size(), 1u);
+  for (const std::vector<RungTransition>& log : s.rung_logs()[0]) {
+    moves += static_cast<long long>(log.size());
+    for (const RungTransition& tr : log) {
+      descents += tr.reason == RungMove::kLoadDescend;
+      recoveries += tr.reason == RungMove::kLoadAscend;
+    }
   }
   EXPECT_GE(descents, 1);
   EXPECT_GE(recoveries, 1);
-  EXPECT_LE(s.rung_log().size(), 4u * 6u);  // no flapping across 6 periods
+  EXPECT_LE(moves, 4 * 6);  // no flapping across 6 periods
 
-  ASSERT_EQ(st.rung_completions.size(), 3u);
-  EXPECT_EQ(st.rung_completions[0] + st.rung_completions[1] +
-                st.rung_completions[2],
-            st.completed);
-  EXPECT_GT(st.rung_completions[2], 0);  // the deep rung actually served
-  EXPECT_EQ(st.completed_degraded,
-            st.rung_completions[0] + st.rung_completions[2]);
-  EXPECT_EQ(st.rung_transitions,
-            static_cast<long long>(s.rung_log().size()));
-
-  // Time-in-rung accounting is exhaustive and index-aligned.
-  ASSERT_EQ(st.rung_cycles.size(), 3u);
-  EXPECT_GT(st.rung_cycles[1], 0);
-  EXPECT_GT(st.rung_cycles[2], 0);
+  const ModelStats& m = st.models[0];
+  const TenantStats& t = st.tenants[0];
+  ASSERT_EQ(m.rung_completions.size(), 3u);
+  EXPECT_EQ(m.rung_completions[0] + m.rung_completions[1] +
+                m.rung_completions[2],
+            t.completed);
+  EXPECT_GT(m.rung_completions[2], 0);  // the deep rung actually served
+  EXPECT_EQ(t.completed_degraded,
+            m.rung_completions[0] + m.rung_completions[2]);
+  EXPECT_EQ(m.rung_transitions, moves);
 }
 
 TEST_F(LadderServerTest, RungTimelineIsInvariantAcrossThreadCounts) {
-  ServerStats ref;
-  std::vector<RungTransition> ref_log;
+  FleetStats ref;
+  std::vector<std::vector<RungTransition>> ref_logs;
   for (const int threads : {1, 2, 8}) {
-    ServerConfig cfg = load_config();
-    cfg.threads = threads;
-    Server s(net_, ws_, ladder3(), cfg);
-    const ServerStats st = s.run(osc_trace());
+    FleetServer s = server(ladder3(), threads);
+    const FleetStats st = s.run({osc_trace()});
     if (threads == 1) {
       ref = st;
-      ref_log = s.rung_log();
+      ref_logs = s.rung_logs()[0];
       continue;
     }
     EXPECT_TRUE(st == ref) << "threads=" << threads
                            << " diverged from the single-thread stats";
-    expect_same_rung_log(s.rung_log(), ref_log);
+    ASSERT_EQ(s.rung_logs()[0].size(), ref_logs.size());
+    for (std::size_t r = 0; r < ref_logs.size(); ++r) {
+      expect_same_rung_log(s.rung_logs()[0][r], ref_logs[r]);
+    }
   }
 }
 
 TEST_F(LadderServerTest, LadderBeatsBinaryPairAndShedOnlyUnderOverload) {
-  // The ISSUE acceptance: on a sustained-overload trace, a >=3-rung ladder
-  // completes strictly more within-deadline requests than both the PR 5
-  // binary pair and a shed-everything single-rung server.
+  // On a sustained-overload trace, a >=3-rung ladder completes strictly
+  // more within-deadline requests than both the binary primary/fallback
+  // pair and a shed-everything single-rung server.
   const ArrivalTrace t = osc_trace(/*periods=*/4, /*per_phase=*/80);
-  const ServerConfig cfg = load_config();
 
   const auto within_deadline = [&](ServingLadder l) {
-    Server s(net_, ws_, std::move(l), cfg);
-    const ServerStats st = s.run(t);
+    FleetServer s = server(std::move(l));
+    const FleetStats st = s.run({t});
     EXPECT_TRUE(st.accounted());
-    return st.completed - st.deadline_misses;
+    return st.tenants[0].completed - st.tenants[0].deadline_misses;
   };
 
   ServingLadder pair;

@@ -1,14 +1,18 @@
-// Resilient serving runtime: bounded-queue admission and back-pressure,
-// virtual-clock deadlines with load-shedding, deterministic retry/backoff,
-// circuit-breaker strategy downgrade with half-open recovery, and the
-// determinism contract — same trace + seed + config produces byte-identical
-// ServerStats for any worker-thread count. Also the pipeline-side hooks the
-// runtime depends on: reset() idempotence, cooperative cancellation, and
-// structured fault-identity payloads on escalation.
+// The single-model server — the fleet loop with one model, one tenant and
+// batch 1 (serve::single_model_server): bounded-queue admission and
+// back-pressure, virtual-clock deadlines with load-shedding, deterministic
+// retry/backoff with downgrade onto the conservative rung, replica
+// quarantine with half-open recovery, and the determinism contract — same
+// trace + seed + config produces byte-identical FleetStats for any
+// worker-thread count. Also the pipeline-side hooks the runtime depends on:
+// reset() idempotence, cooperative cancellation, and structured
+// fault-identity payloads on escalation.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -16,11 +20,11 @@
 #include "arch/ddr_trace.h"
 #include "arch/pipeline.h"
 #include "fault/fault.h"
+#include "fault/fleet_fault.h"
 #include "nn/model_zoo.h"
 #include "serve/breaker.h"
-#include "serve/clock.h"
+#include "serve/fleet.h"
 #include "serve/queue.h"
-#include "serve/server.h"
 #include "serve/stats.h"
 #include "serve/trace.h"
 #include "support/error.h"
@@ -36,10 +40,12 @@ using serve::BoundedQueue;
 using serve::BreakerConfig;
 using serve::BreakerState;
 using serve::CircuitBreaker;
+using serve::FleetConfig;
+using serve::FleetStats;
+using serve::HealthEvent;
 using serve::LatencyHistogram;
-using serve::ServerConfig;
-using serve::ServerStats;
 using serve::ServingMode;
+using serve::TenantStats;
 
 // ------------------------------------------------------------ typed error --
 TEST(ServeErrorType, CarriesReasonAndMapsToExitCode5) {
@@ -132,39 +138,11 @@ TEST(BoundedQueueTest, MpmcStressDeliversEveryItemExactlyOnce) {
 }
 
 // --------------------------------------------------------- circuit breaker --
-BreakerConfig fast_breaker() {
-  BreakerConfig c;
-  c.failure_threshold = 2;
-  c.deadline_miss_threshold = 3;
-  c.cooldown_cycles = 100;
-  c.probe_successes = 2;
-  return c;
-}
-
-TEST(CircuitBreakerTest, ConsecutiveFailuresOpenSuccessResetsTheStreak) {
-  CircuitBreaker b(fast_breaker());
-  b.record_failure(10);
-  b.record_success(20);  // streak broken
-  b.record_failure(30);
-  EXPECT_EQ(b.state(40), BreakerState::kClosed);
-  b.record_failure(50);  // second consecutive
-  EXPECT_EQ(b.state(50), BreakerState::kOpen);
-  EXPECT_EQ(b.opens(), 1);
-}
-
-TEST(CircuitBreakerTest, SustainedDeadlineMissesOpenLikeFailures) {
-  CircuitBreaker b(fast_breaker());
-  b.record_deadline_miss(1);
-  b.record_deadline_miss(2);
-  EXPECT_EQ(b.state(3), BreakerState::kClosed);
-  b.record_deadline_miss(3);
-  EXPECT_EQ(b.state(3), BreakerState::kOpen);
-}
-
+// The breaker behind replica quarantine: force_open on isolation, half-open
+// once the respawn cooldown elapses, closed after enough probe wins.
 TEST(CircuitBreakerTest, HalfOpenRecoveryNeedsConfiguredProbeWins) {
-  CircuitBreaker b(fast_breaker());
-  b.record_failure(0);
-  b.record_failure(1);  // open until 101
+  CircuitBreaker b(BreakerConfig{/*probe_successes=*/2});
+  b.force_open(1, 100);  // open until 101
   EXPECT_EQ(b.state(100), BreakerState::kOpen);
   EXPECT_EQ(b.state(101), BreakerState::kHalfOpen);
   EXPECT_TRUE(b.try_acquire_probe(101));
@@ -174,29 +152,28 @@ TEST(CircuitBreakerTest, HalfOpenRecoveryNeedsConfiguredProbeWins) {
   EXPECT_TRUE(b.try_acquire_probe(111));
   b.record_success(120);
   EXPECT_EQ(b.state(120), BreakerState::kClosed);
+  EXPECT_EQ(b.opens(), 1);
   EXPECT_EQ(b.closes(), 1);
   // Transition log records the exact sequence.
   ASSERT_EQ(b.transitions().size(), 3u);
+  EXPECT_EQ(b.transitions()[0].to, BreakerState::kOpen);
   EXPECT_EQ(b.transitions()[1].to, BreakerState::kHalfOpen);
   EXPECT_EQ(b.transitions()[2].to, BreakerState::kClosed);
 }
 
 TEST(CircuitBreakerTest, FailedOrLateProbeReopensWithFreshCooldown) {
-  CircuitBreaker b(fast_breaker());
-  b.record_failure(0);
-  b.record_failure(0);
+  CircuitBreaker b(BreakerConfig{/*probe_successes=*/1});
+  b.force_open(0, 100);
   ASSERT_EQ(b.state(100), BreakerState::kHalfOpen);
   ASSERT_TRUE(b.try_acquire_probe(100));
-  b.record_failure(105);  // probe found the primary still sick
+  // The probe failed or overran: the replica is quarantined again, which
+  // re-opens the breaker with a fresh cooldown and releases the probe slot —
+  // otherwise half-open wedges with the slot taken forever.
+  b.force_open(105, 100);
   EXPECT_EQ(b.state(106), BreakerState::kOpen);
   EXPECT_EQ(b.state(205), BreakerState::kHalfOpen);
-  // A probe that completes past its deadline must also release the slot
-  // and re-open — otherwise half-open wedges with the slot taken forever.
-  ASSERT_TRUE(b.try_acquire_probe(205));
-  b.record_deadline_miss(210);
-  EXPECT_EQ(b.state(210), BreakerState::kOpen);
-  EXPECT_EQ(b.state(310), BreakerState::kHalfOpen);
-  EXPECT_TRUE(b.try_acquire_probe(310));  // slot is free again
+  EXPECT_TRUE(b.try_acquire_probe(205));  // slot is free again
+  EXPECT_EQ(b.opens(), 2);
 }
 
 // ------------------------------------------------------- latency histogram --
@@ -276,15 +253,17 @@ TEST(ArrivalTraceTest, FromCsvRejectsGarbageWithLineNumbers) {
   }
 }
 
-// ------------------------------------------------------------ server stats --
-TEST(ServerStatsTest, AccountedRequiresEveryRequestToLandSomewhere) {
-  ServerStats s;
-  s.submitted = 10;
-  s.completed = 7;
-  s.rejected_queue_full = 1;
-  s.shed_deadline = 1;
+// ------------------------------------------------------------- fleet stats --
+TEST(FleetStatsTest, AccountedRequiresEveryRequestToLandSomewhere) {
+  TenantStats t;
+  t.submitted = 10;
+  t.completed = 7;
+  t.rejected_queue_full = 1;
+  t.shed_deadline = 1;
+  FleetStats s;
+  s.tenants = {t};
   EXPECT_FALSE(s.accounted());
-  s.failed = 1;
+  s.tenants[0].failed = 1;
   EXPECT_TRUE(s.accounted());
   EXPECT_NE(s.to_json().find("\"submitted\": 10"), std::string::npos);
 }
@@ -301,153 +280,167 @@ class ServerTest : public ::testing::Test {
     return m;
   }
 
-  static ServerConfig base_config() {
-    ServerConfig cfg;
-    cfg.queue_capacity = 64;
-    cfg.replicas = 2;
+  /// The [fallback 1600, primary 1000] pair, home = primary.
+  static serve::ServingLadder pair(ServingMode primary = mode(1000),
+                                   ServingMode fallback = mode(1600)) {
+    serve::ServingLadder l;
+    l.rungs = {std::move(fallback), std::move(primary)};
+    l.home = 1;
+    return l;
+  }
+
+  static FleetConfig base_config() {
+    FleetConfig cfg;
     cfg.max_retries = 1;
-    cfg.backoff_base_cycles = 500;
-    cfg.backoff_cap_cycles = 2000;
-    cfg.breaker.failure_threshold = 2;
-    cfg.breaker.deadline_miss_threshold = 4;
-    cfg.breaker.cooldown_cycles = 2000;
-    cfg.breaker.probe_successes = 2;
     return cfg;
   }
 
-  /// A trace whose middle third wedges the primary pipeline: the hard,
-  /// deterministic failure the watchdog + retry + breaker chain must absorb.
-  static ArrivalTrace burst_trace(std::size_t n = 60,
-                                  std::uint64_t seed = 7) {
-    ArrivalTrace t = ArrivalTrace::synthetic(n, 800, seed);
-    const long long span = t.last_arrival();
-    t.burst.from_cycle = span / 3;
-    t.burst.until_cycle = 2 * span / 3;
-    t.burst.plan.seed = seed;
-    t.burst.plan.wedge_channel = 0;
-    t.burst.plan.wedge_after_pushes = 2;
-    return t;
+  serve::FleetServer server(serve::ServingLadder ladder, int replicas = 2,
+                            std::size_t queue = 64, long long deadline = 0,
+                            FleetConfig cfg = base_config()) const {
+    return serve::single_model_server(
+        {"tiny", net_, ws_, std::move(ladder), replicas}, queue, deadline,
+        cfg);
   }
 
-  ServerStats run_once(const ArrivalTrace& trace, const ServerConfig& cfg,
-                       std::vector<serve::BreakerTransition>* log = nullptr) {
-    serve::Server s(net_, ws_, mode(1000), mode(1600), cfg);
-    const ServerStats st = s.run(trace);
-    if (log) *log = s.breaker_log();
-    return st;
+  /// A burst over the middle third of `t` that wedges the home-rung
+  /// pipeline: the hard, deterministic failure the watchdog + retry +
+  /// quarantine chain must absorb.
+  static fault::FleetFaultPlan burst_plan(const ArrivalTrace& t,
+                                          std::uint64_t seed) {
+    fault::FleetFaultEvent e;
+    e.kind = fault::FleetFaultKind::kPipelineBurst;
+    e.cycle = t.last_arrival() / 3;
+    e.burst_until = 2 * t.last_arrival() / 3;
+    e.burst_plan.seed = seed;
+    e.burst_plan.wedge_channel = 0;
+    e.burst_plan.wedge_after_pushes = 2;
+    fault::FleetFaultPlan p;
+    p.events = {e};
+    return p;
   }
 };
 
 TEST_F(ServerTest, RejectsUnusableConfigurations) {
-  ServerConfig cfg = base_config();
-  cfg.replicas = 0;
-  EXPECT_THROW(serve::Server(net_, ws_, mode(10), mode(10), cfg), ServeError);
-  cfg = base_config();
-  cfg.queue_capacity = 0;
-  EXPECT_THROW(serve::Server(net_, ws_, mode(10), mode(10), cfg), ServeError);
-  cfg = base_config();
-  EXPECT_THROW(serve::Server(net_, ws_, mode(0), mode(10), cfg), ServeError);
+  EXPECT_THROW((void)server(pair(), /*replicas=*/0), ServeError);
+  EXPECT_THROW((void)server(pair(), 2, /*queue=*/0), ServeError);
+  EXPECT_THROW((void)server(pair(mode(0))), ServeError);
   ServingMode bad = mode(10);
   bad.choices.resize(2);  // tiny_net has 4 accelerated layers
-  EXPECT_THROW(serve::Server(net_, ws_, bad, mode(10), base_config()),
-               ServeError);
+  EXPECT_THROW((void)server(pair(bad)), ServeError);
+  FleetConfig cfg = base_config();
+  cfg.max_retries = -1;
+  EXPECT_THROW((void)server(pair(), 2, 64, 0, cfg), ServeError);
   try {
-    serve::Server s(net_, ws_, mode(10), mode(10), cfg);
-    (void)s;
+    (void)server(pair(mode(10), mode(10)));
   } catch (const ServeError& e) {
     FAIL() << "valid config rejected: " << e.what();
   }
 }
 
 TEST_F(ServerTest, HealthyTraceCompletesEveryRequestOnThePrimary) {
-  const ArrivalTrace t = ArrivalTrace::synthetic(40, 1500, 3);
-  const ServerStats s = run_once(t, base_config());
-  EXPECT_TRUE(s.accounted());
-  EXPECT_EQ(s.submitted, 40);
-  EXPECT_EQ(s.completed, 40);
-  EXPECT_EQ(s.completed_degraded, 0);
-  EXPECT_EQ(s.rejected_queue_full, 0);
-  EXPECT_EQ(s.shed_deadline, 0);
-  EXPECT_EQ(s.failed, 0);
-  EXPECT_EQ(s.retries, 0);
-  EXPECT_EQ(s.breaker_opens, 0);
-  EXPECT_GE(s.latency.p50(), 1000);  // at least one service time
-  EXPECT_NE(s.response_hash, 0u);
+  serve::FleetServer s = server(pair());
+  const FleetStats st = s.run({ArrivalTrace::synthetic(40, 1500, 3)});
+  const TenantStats& t = st.tenants[0];
+  EXPECT_TRUE(st.accounted());
+  EXPECT_EQ(t.submitted, 40);
+  EXPECT_EQ(t.completed, 40);
+  EXPECT_EQ(t.completed_degraded, 0);
+  EXPECT_EQ(t.rejected_queue_full, 0);
+  EXPECT_EQ(t.shed_deadline, 0);
+  EXPECT_EQ(t.failed, 0);
+  EXPECT_EQ(st.retries, 0);
+  EXPECT_EQ(st.quarantines, 0);
+  EXPECT_EQ(st.models[0].batch_size_counts.size(), 2u);  // batch 1 only
+  EXPECT_GE(t.latency.p50(), 1000);  // at least one service time
+  EXPECT_NE(st.response_hash, 0u);
 }
 
 TEST_F(ServerTest, OverloadIsRejectedAtTheQueueBoundNeverLost) {
   // One slow replica, a tiny queue, and a tight arrival burst: admission
   // control must refuse the overflow instead of queueing without bound.
-  ServerConfig cfg = base_config();
-  cfg.replicas = 1;
-  cfg.queue_capacity = 3;
-  const ArrivalTrace t = ArrivalTrace::synthetic(50, 100, 11);
-  const ServerStats s = run_once(t, cfg);
-  EXPECT_TRUE(s.accounted());
-  EXPECT_GT(s.rejected_queue_full, 0);
-  EXPECT_LE(s.queue_peak, 3);
-  EXPECT_EQ(s.completed + s.rejected_queue_full, s.submitted);
+  serve::FleetServer s = server(pair(), /*replicas=*/1, /*queue=*/3);
+  const FleetStats st = s.run({ArrivalTrace::synthetic(50, 100, 11)});
+  const TenantStats& t = st.tenants[0];
+  EXPECT_TRUE(st.accounted());
+  EXPECT_GT(t.rejected_queue_full, 0);
+  EXPECT_LE(t.queue_peak, 3);
+  EXPECT_EQ(t.completed + t.rejected_queue_full, t.submitted);
 }
 
 TEST_F(ServerTest, LateRequestsAreShedAndMissesCounted) {
-  ServerConfig cfg = base_config();
-  cfg.replicas = 1;
-  cfg.deadline_cycles = 2500;
-  const ArrivalTrace t = ArrivalTrace::synthetic(50, 300, 13);
-  const ServerStats s = run_once(t, cfg);
-  EXPECT_TRUE(s.accounted());
-  EXPECT_GT(s.shed_deadline, 0);           // shed before wasting a replica
-  EXPECT_EQ(s.failed, 0);
+  serve::FleetServer s =
+      server(pair(), /*replicas=*/1, 64, /*deadline=*/2500);
+  const FleetStats st = s.run({ArrivalTrace::synthetic(50, 300, 13)});
+  const TenantStats& t = st.tenants[0];
+  EXPECT_TRUE(st.accounted());
+  EXPECT_GT(t.shed_deadline, 0);  // shed before wasting a replica
+  EXPECT_EQ(t.failed, 0);
   // Whatever completed either met the deadline or was counted as a miss.
-  EXPECT_GT(s.completed, 0);
+  EXPECT_GT(t.completed, 0);
 }
 
-TEST_F(ServerTest, FaultBurstIsAbsorbedByRetriesAndTheBreaker) {
-  std::vector<serve::BreakerTransition> log;
-  const ServerStats s = run_once(burst_trace(), base_config(), &log);
-  EXPECT_TRUE(s.accounted());
-  EXPECT_EQ(s.failed, 0);  // nothing escapes: retry or downgrade covers all
-  EXPECT_EQ(s.completed, s.submitted);
-  EXPECT_GT(s.retries, 0);
-  EXPECT_GT(s.faults_absorbed, 0);
-  EXPECT_GT(s.completed_degraded, 0);  // breaker routed around the wedge
-  EXPECT_GE(s.breaker_opens, 1);
-  // Recovery: the breaker must end closed after the burst passes, having
-  // gone open -> half-open -> closed.
-  ASSERT_FALSE(log.empty());
-  EXPECT_EQ(log.back().to, BreakerState::kClosed);
-  EXPECT_EQ(log.back().from, BreakerState::kHalfOpen);
-  bool saw_open = false;
-  for (const auto& tr : log) saw_open |= tr.to == BreakerState::kOpen;
-  EXPECT_TRUE(saw_open);
-  EXPECT_EQ(s.breaker_closes, 1);
+TEST_F(ServerTest, PipelineBurstIsAbsorbedByRetriesAndQuarantine) {
+  const ArrivalTrace t = ArrivalTrace::synthetic(60, 800, 7);
+  serve::FleetServer s = server(pair());
+  const FleetStats st = s.run({t}, burst_plan(t, 7));
+  const TenantStats& ts = st.tenants[0];
+  EXPECT_TRUE(st.accounted());
+  EXPECT_EQ(ts.failed, 0);  // nothing escapes: retry or downgrade covers all
+  EXPECT_EQ(ts.completed, ts.submitted);
+  EXPECT_GT(st.retries, 0);
+  EXPECT_GT(ts.completed_degraded, 0);  // downgraded around the wedge
+  EXPECT_GE(st.quarantines, 1);
+  // Recovery: some replica walked quarantine -> respawn -> probe -> readmit
+  // (the quarantine breaker's open -> half-open -> closed), in that order.
+  std::vector<HealthEvent::Kind> walk;
+  for (const HealthEvent& e : s.health_log()) {
+    if (e.replica == 0) walk.push_back(e.kind);
+  }
+  const auto pos = [&](HealthEvent::Kind k) {
+    return std::find(walk.begin(), walk.end(), k) - walk.begin();
+  };
+  ASSERT_LT(pos(HealthEvent::Kind::kReadmit),
+            static_cast<long>(walk.size()));
+  EXPECT_LT(pos(HealthEvent::Kind::kQuarantine),
+            pos(HealthEvent::Kind::kRespawn));
+  EXPECT_LT(pos(HealthEvent::Kind::kRespawn), pos(HealthEvent::Kind::kProbe));
+  EXPECT_LT(pos(HealthEvent::Kind::kProbe), pos(HealthEvent::Kind::kReadmit));
+  // ...and the run ends recovered: every replica's last health event is a
+  // readmit, none is left quarantined or on probation.
+  EXPECT_EQ(st.unrecovered_replicas, 0);
+  std::map<int, HealthEvent::Kind> last;
+  for (const HealthEvent& e : s.health_log()) {
+    if (e.replica >= 0) last[e.replica] = e.kind;
+  }
+  for (const auto& [replica, kind] : last) {
+    EXPECT_EQ(kind, HealthEvent::Kind::kReadmit) << "replica " << replica;
+  }
 }
 
 // The determinism contract (DESIGN.md §11): worker threads only change how
 // fast the functional work grinds through, never any stat. Exercises every
-// path at once — overload, deadlines, fault burst, retries, breaker.
+// path at once — overload, deadlines, fault burst, retries, quarantine.
 TEST_F(ServerTest, StatsAreByteIdenticalForAnyWorkerCount) {
-  ArrivalTrace t = burst_trace(80, 17);
-  ServerConfig cfg = base_config();
-  cfg.queue_capacity = 8;
-  cfg.deadline_cycles = 20000;
-  ServerStats first;
-  std::vector<serve::BreakerTransition> first_log;
+  const ArrivalTrace t = ArrivalTrace::synthetic(80, 800, 17);
+  std::vector<FleetStats> runs;
+  std::vector<std::vector<HealthEvent>> logs;
   for (const int threads : {1, 2, 8}) {
+    FleetConfig cfg = base_config();
     cfg.threads = threads;
-    std::vector<serve::BreakerTransition> log;
-    const ServerStats s = run_once(t, cfg, &log);
-    EXPECT_TRUE(s.accounted());
-    if (threads == 1) {
-      first = s;
-      first_log = log;
-      continue;
-    }
-    EXPECT_EQ(s, first) << "stats diverged at threads=" << threads;
-    ASSERT_EQ(log.size(), first_log.size());
-    for (std::size_t i = 0; i < log.size(); ++i) {
-      EXPECT_EQ(log[i].cycle, first_log[i].cycle);
-      EXPECT_EQ(log[i].to, first_log[i].to);
+    serve::FleetServer s = server(pair(), 2, /*queue=*/8,
+                                  /*deadline=*/20000, cfg);
+    runs.push_back(s.run({t}, burst_plan(t, 17)));
+    logs.push_back(s.health_log());
+    EXPECT_TRUE(runs.back().accounted());
+  }
+  EXPECT_GT(runs[0].retries, 0);
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    EXPECT_TRUE(runs[i] == runs[0]) << "stats diverged at run " << i;
+    ASSERT_EQ(logs[i].size(), logs[0].size());
+    for (std::size_t k = 0; k < logs[i].size(); ++k) {
+      EXPECT_EQ(logs[i][k].cycle, logs[0][k].cycle);
+      EXPECT_EQ(logs[i][k].kind, logs[0][k].kind);
     }
   }
 }
@@ -456,17 +449,18 @@ TEST_F(ServerTest, ResponseDigestDependsOnRequestPayloads) {
   ArrivalTrace a = ArrivalTrace::synthetic(10, 2000, 5);
   ArrivalTrace b = a;
   for (auto& r : b.requests) r.input_seed += 1;  // same arrivals, new inputs
-  const ServerStats sa = run_once(a, base_config());
-  const ServerStats sb = run_once(b, base_config());
-  EXPECT_EQ(sa.completed, sb.completed);
+  serve::FleetServer s = server(pair());
+  const FleetStats sa = s.run({a});
+  const FleetStats sb = s.run({b});
+  EXPECT_EQ(sa.tenants[0].completed, sb.tenants[0].completed);
   EXPECT_NE(sa.response_hash, sb.response_hash);
 }
 
 TEST_F(ServerTest, RejectsTracesWithNonDenseIds) {
   ArrivalTrace t = ArrivalTrace::synthetic(4, 100, 1);
   t.requests[2].id = 9;
-  serve::Server s(net_, ws_, mode(1000), mode(1600), base_config());
-  EXPECT_THROW((void)s.run(t), ServeError);
+  serve::FleetServer s = server(pair());
+  EXPECT_THROW((void)s.run({t}), ServeError);
 }
 
 // ---------------------------------------------- pipeline hooks (satellites) --

@@ -230,18 +230,24 @@ TEST_F(StrategyIoTest, GarbledCsvRejectsWithLineNumbers) {
                    header + "\n" + renamed + "\n" + rest, net_, dev_),
                ParseError);
 
-  // Unknown algorithm token.
-  std::string bad_algo = row1;
-  for (const char* a : {"winograd-s2", "winograd", "conventional"}) {
-    const std::size_t p = bad_algo.find(a);
-    if (p != std::string::npos) {
-      bad_algo.replace(p, std::strlen(a), "quantum");
-      break;
+  // Unknown algorithm tokens, including the retired stride-2 Winograd.
+  for (const char* token : {"quantum", "winograd-s2"}) {
+    std::string bad_algo = row1;
+    for (const char* a : {"winograd", "conventional"}) {
+      const std::size_t p = bad_algo.find(a);
+      if (p != std::string::npos) {
+        bad_algo.replace(p, std::strlen(a), token);
+        break;
+      }
+    }
+    try {
+      (void)strategy_from_csv(header + "\n" + bad_algo + "\n" + rest, net_,
+                              dev_);
+      FAIL() << "algorithm '" << token << "' accepted";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), 2) << token;
     }
   }
-  EXPECT_THROW((void)strategy_from_csv(
-                   header + "\n" + bad_algo + "\n" + rest, net_, dev_),
-               ParseError);
 }
 
 TEST_F(StrategyIoTest, ShuffledGroupIndicesRejected) {

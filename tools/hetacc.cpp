@@ -33,7 +33,6 @@
 #include "nn/model_zoo.h"
 #include "quant/calibration.h"
 #include "serve/fleet.h"
-#include "serve/server.h"
 #include "support/error.h"
 #include "toolflow/ladder.h"
 #include "toolflow/toolflow.h"
@@ -80,10 +79,12 @@ void usage() {
       "                      watchdog wedge demonstration\n"
       "  --fault-seed N      campaign seed (default 1); same seed, same run\n"
       "  --serve SPEC        resilient serving run instead of codegen: drive\n"
-      "                      an arrival trace through the bounded-queue /\n"
-      "                      deadline / retry / circuit-breaker runtime over\n"
-      "                      the optimized strategy, with the --protect\n"
-      "                      re-optimized strategy as the degraded fallback.\n"
+      "                      an arrival trace through the fleet runtime as\n"
+      "                      one model and one batch-1 tenant (bounded queue,\n"
+      "                      deadlines, retry with backoff, replica\n"
+      "                      quarantine) over the optimized strategy, with\n"
+      "                      the --protect re-optimized strategy as the\n"
+      "                      degraded fallback.\n"
       "                      SPEC is a trace CSV path (id,arrival_cycle,\n"
       "                      input_seed) or synth:N[:MEAN[:SEED]] for N\n"
       "                      synthetic requests with mean inter-arrival MEAN\n"
@@ -339,6 +340,39 @@ nn::Network zoo_model(const std::string& name) {
                    "unknown model '" + name + "'");
 }
 
+/// The last run's scale events, per-replica rung transitions and fault-domain
+/// timeline — the lines the CI soaks grep.
+void print_timelines(const serve::FleetServer& fleet) {
+  if (!fleet.scale_log().empty()) {
+    std::printf("scale events:\n");
+    for (const auto& e : fleet.scale_log()) {
+      std::printf("  cycle %10lld  %-16s %s -> %d replica(s)\n", e.cycle,
+                  fleet.models()[e.model].name.c_str(),
+                  e.up ? "(scale-up)" : "(scale-down)", e.replicas_after);
+    }
+  }
+  for (std::size_t m = 0; m < fleet.rung_logs().size(); ++m) {
+    for (std::size_t r = 0; r < fleet.rung_logs()[m].size(); ++r) {
+      const auto& log = fleet.rung_logs()[m][r];
+      if (log.empty()) continue;
+      std::printf("rung transitions %s replica %zu:\n",
+                  fleet.models()[m].name.c_str(), r);
+      for (const auto& t : log) {
+        std::printf("  cycle %10lld  r%d -> r%d  (%s)\n", t.cycle, t.from,
+                    t.to, std::string(serve::to_string(t.reason)).c_str());
+      }
+    }
+  }
+  if (!fleet.health_log().empty()) {
+    std::printf("fault timeline:\n");
+    for (const auto& e : fleet.health_log()) {
+      std::printf("  cycle %10lld  %-16s replica %3d  (%s)\n", e.cycle,
+                  fleet.models()[e.model].name.c_str(), e.replica,
+                  std::string(serve::to_string(e.kind)).c_str());
+    }
+  }
+}
+
 /// --serve: everything the serving runtime needs from the command line.
 struct ServeCliOptions {
   std::string spec;          ///< trace CSV path, synth:..., or osc:...
@@ -374,18 +408,13 @@ int run_serve(const nn::Network& net, const fpga::Device& dev,
       std::min<std::size_t>(3, primary_flow.accel_net.size() - 1);
   for (std::size_t i = 1; i <= klast; ++i) snet.add(primary_flow.accel_net[i]);
   const auto choices_of = [klast](const core::Strategy& s) {
-    std::vector<arch::LayerChoice> ch;
-    for (const auto& g : s.groups) {
-      for (const auto& ipl : g.impls) {
-        ch.push_back({ipl.cfg.algo, ipl.cfg.wino_m, {}});
-      }
-    }
+    std::vector<arch::LayerChoice> ch = arch::choices_of(s);
     ch.resize(klast);
     return ch;
   };
   const auto ws = nn::WeightStore::deterministic(snet, opt.weight_seed);
 
-  // The degradation ladder (--serve-ladder) or the PR 5 binary pair. The
+  // The degradation ladder (--serve-ladder) or the primary/fallback pair. The
   // ladder is round-tripped through its multi-strategy CSV form the way an
   // operator would pre-compute and ship it; per-rung numeric modes come
   // from the testbed calibration (int8 rungs serve in the asymmetric int8
@@ -442,16 +471,13 @@ int run_serve(const nn::Network& net, const fpga::Device& dev,
   }
   const long long primary_cycles =
       ladder.rungs[ladder.home].service_cycles;
-
-  serve::ServerConfig cfg;
-  cfg.queue_capacity = so.queue;
-  cfg.replicas = so.replicas;
-  cfg.max_retries = so.retries;
-  cfg.deadline_cycles =
+  const long long deadline =
       so.deadline >= 0 ? so.deadline : 4 * primary_cycles;
-  cfg.backoff_base_cycles = std::max<long long>(primary_cycles / 8, 1);
-  cfg.backoff_cap_cycles = 4 * cfg.backoff_base_cycles;
-  cfg.breaker.cooldown_cycles = 2 * primary_cycles;
+
+  // The fleet derives the retry backoff from the home rung's service time
+  // (base = svc / 8, cap = 4 x base).
+  serve::FleetConfig cfg;
+  cfg.max_retries = so.retries;
   cfg.threads = opt.threads;
 
   // The trace: synthetic (synth:N[:MEAN[:SEED]]), square-wave oscillating
@@ -507,11 +533,15 @@ int run_serve(const nn::Network& net, const fpga::Device& dev,
     trace = serve::ArrivalTrace::from_csv(buf.str());
   }
 
+  // --serve-fault: a pipeline burst striking the home rung over a window.
+  fault::FleetFaultPlan faults;
   if (!so.fault.empty()) {
+    fault::FleetFaultEvent burst;
+    burst.kind = fault::FleetFaultKind::kPipelineBurst;
     if (so.fault == "auto") {
       const long long span = trace.last_arrival();
-      trace.burst.from_cycle = span / 3;
-      trace.burst.until_cycle = 2 * span / 3;
+      burst.cycle = span / 3;
+      burst.burst_until = 2 * span / 3;
     } else {
       const auto colon = so.fault.find(':');
       if (colon == std::string::npos) {
@@ -519,21 +549,21 @@ int run_serve(const nn::Network& net, const fpga::Device& dev,
                          "--serve-fault wants LO:HI or auto, got '" +
                              so.fault + "'");
       }
-      trace.burst.from_cycle = std::stoll(so.fault.substr(0, colon));
-      trace.burst.until_cycle = std::stoll(so.fault.substr(colon + 1));
+      burst.cycle = std::stoll(so.fault.substr(0, colon));
+      burst.burst_until = std::stoll(so.fault.substr(colon + 1));
     }
     // A wedged FIFO: deterministic hard failure on every struck run, the
-    // worst case the watchdog + retry + breaker chain must absorb.
-    trace.burst.plan.seed = fault_seed;
-    trace.burst.plan.wedge_channel = 0;
-    trace.burst.plan.wedge_after_pushes = 4;
+    // worst case the watchdog + retry + quarantine chain must absorb.
+    burst.burst_plan.seed = fault_seed;
+    burst.burst_plan.wedge_channel = 0;
+    burst.burst_plan.wedge_after_pushes = 4;
+    faults.events.push_back(burst);
   }
 
   std::printf("serving '%s' on %s: %zu requests, %d replica(s), queue %zu, "
               "deadline %lld cycles\n",
               primary_flow.full_net.name().c_str(), dev.name.c_str(),
-              trace.requests.size(), cfg.replicas, cfg.queue_capacity,
-              cfg.deadline_cycles);
+              trace.requests.size(), so.replicas, so.queue, deadline);
   if (use_ladder) {
     // Rung table with per-rung accuracy: every rung's functional testbed
     // output against the float reference, so the table shows exactly what
@@ -565,45 +595,33 @@ int run_serve(const nn::Network& net, const fpga::Device& dev,
                 "CSV round-trip)\n",
                 ladder.rungs[0].service_cycles);
   }
-  if (trace.burst.active()) {
-    std::printf("  fault burst [%lld, %lld) cycles, seed %llu\n",
-                trace.burst.from_cycle, trace.burst.until_cycle,
-                static_cast<unsigned long long>(fault_seed));
+  for (const auto& e : faults.events) {
+    std::printf("  fault burst [%lld, %lld) cycles, seed %llu\n", e.cycle,
+                e.burst_until, static_cast<unsigned long long>(fault_seed));
   }
 
-  serve::Server server(snet, ws, std::move(ladder), cfg);
-  const serve::ServerStats stats = server.run(trace);
+  serve::FleetServer server = serve::single_model_server(
+      {primary_flow.full_net.name(), snet, ws, std::move(ladder),
+       so.replicas},
+      so.queue, deadline, cfg);
+  const serve::FleetStats stats = server.run({trace}, faults);
 
   std::printf("\nserver stats:\n%s", stats.summary().c_str());
-  if (!server.breaker_log().empty()) {
-    std::printf("breaker transitions:\n");
-    for (const auto& t : server.breaker_log()) {
-      std::printf("  cycle %10lld  %s -> %s\n", t.cycle,
-                  std::string(serve::to_string(t.from)).c_str(),
-                  std::string(serve::to_string(t.to)).c_str());
-    }
-  }
-  if (!server.rung_log().empty()) {
-    std::printf("rung transitions:\n");
-    for (const auto& t : server.rung_log()) {
-      std::printf("  cycle %10lld  r%d -> r%d  (%s)\n", t.cycle, t.from,
-                  t.to, std::string(serve::to_string(t.reason)).c_str());
-    }
-  }
+  print_timelines(server);
   std::printf("json: %s\n", stats.to_json().c_str());
 
-  if (!stats.accounted()) {
+  const serve::TenantStats& ts = stats.tenants[0];
+  if (!ts.accounted()) {
     throw Error(ErrorCategory::kServe,
                 "request accounting mismatch: " +
-                    std::to_string(stats.submitted) + " submitted but only " +
-                    std::to_string(stats.rejected_queue_full +
-                                   stats.shed_deadline + stats.completed +
-                                   stats.failed) +
+                    std::to_string(ts.submitted) + " submitted but only " +
+                    std::to_string(ts.rejected_queue_full + ts.shed_deadline +
+                                   ts.completed + ts.failed) +
                     " accounted for");
   }
-  if (stats.failed > 0) {
+  if (ts.failed > 0) {
     throw Error(ErrorCategory::kServe,
-                std::to_string(stats.failed) +
+                std::to_string(ts.failed) +
                     " request(s) failed on a degraded rung");
   }
   return 0;
@@ -753,34 +771,7 @@ int run_fleet(const fpga::Device& dev, const toolflow::ToolflowOptions& opt,
   const serve::FleetStats stats = fleet.run(traces, plan);
 
   std::printf("\nfleet stats:\n%s", stats.summary().c_str());
-  if (!fleet.scale_log().empty()) {
-    std::printf("scale events:\n");
-    for (const auto& e : fleet.scale_log()) {
-      std::printf("  cycle %10lld  %-16s %s -> %d replica(s)\n", e.cycle,
-                  fleet.models()[e.model].name.c_str(),
-                  e.up ? "(scale-up)" : "(scale-down)", e.replicas_after);
-    }
-  }
-  for (std::size_t m = 0; m < fleet.rung_logs().size(); ++m) {
-    for (std::size_t r = 0; r < fleet.rung_logs()[m].size(); ++r) {
-      const auto& log = fleet.rung_logs()[m][r];
-      if (log.empty()) continue;
-      std::printf("rung transitions %s replica %zu:\n",
-                  fleet.models()[m].name.c_str(), r);
-      for (const auto& t : log) {
-        std::printf("  cycle %10lld  r%d -> r%d  (%s)\n", t.cycle, t.from,
-                    t.to, std::string(serve::to_string(t.reason)).c_str());
-      }
-    }
-  }
-  if (!fleet.health_log().empty()) {
-    std::printf("fault timeline:\n");
-    for (const auto& e : fleet.health_log()) {
-      std::printf("  cycle %10lld  %-16s replica %3d  (%s)\n", e.cycle,
-                  fleet.models()[e.model].name.c_str(), e.replica,
-                  std::string(serve::to_string(e.kind)).c_str());
-    }
-  }
+  print_timelines(fleet);
   std::printf("fleet json: %s\n", stats.to_json().c_str());
 
   if (!fo.chaos.empty()) {
