@@ -35,17 +35,23 @@ Matrix extract_tile(const nn::Tensor& in, int channel, int tile_i, int tile_j,
   return d;
 }
 
-/// Flattens the transform matrices shared by both plan flavors.
-void flatten_transforms(const WinogradTransform& t, std::vector<double>& bt,
-                        std::vector<double>& at) {
+/// Flattens the transform matrices into row-major arrays of the plan's
+/// element type (f32 for the float plan, double for the fixed plan).
+template <typename T>
+void flatten_transforms(const WinogradTransform& t, std::vector<T>& bt,
+                        std::vector<T>& at) {
   const int n = t.n();
   bt.resize(static_cast<std::size_t>(n) * n);
   for (int a = 0; a < n; ++a) {
-    for (int b = 0; b < n; ++b) bt[static_cast<std::size_t>(a) * n + b] = t.bt.at(a, b);
+    for (int b = 0; b < n; ++b) {
+      bt[static_cast<std::size_t>(a) * n + b] = static_cast<T>(t.bt.at(a, b));
+    }
   }
   at.resize(static_cast<std::size_t>(t.m) * n);
   for (int a = 0; a < t.m; ++a) {
-    for (int b = 0; b < n; ++b) at[static_cast<std::size_t>(a) * n + b] = t.at.at(a, b);
+    for (int b = 0; b < n; ++b) {
+      at[static_cast<std::size_t>(a) * n + b] = static_cast<T>(t.at.at(a, b));
+    }
   }
 }
 
@@ -70,49 +76,64 @@ TransformedFilters transform_filters(const WinogradTransform& t,
   return tf;
 }
 
-kernels::WinogradPlan pack_winograd_plan(const TransformedFilters& tf) {
-  const WinogradTransform& t = tf.t;
-  const int n = t.n();
+kernels::WinogradPlan pack_winograd_plan(const WinogradTransform& t,
+                                         const nn::FilterBank& f) {
+  if (f.kernel() != t.r) {
+    throw std::invalid_argument("pack_winograd_plan: kernel != r");
+  }
+  const int n = t.n(), r = t.r;
+  const int out_c = f.out_channels(), in_c = f.in_channels();
   kernels::WinogradPlan plan;
   plan.m = t.m;
-  plan.r = t.r;
+  plan.r = r;
   plan.n = n;
-  plan.out_c = tf.out_channels;
-  plan.in_c = tf.in_channels;
+  plan.out_c = out_c;
+  plan.in_c = in_c;
   flatten_transforms(t, plan.bt, plan.at);
-  plan.u.resize(static_cast<std::size_t>(n) * n * tf.out_channels *
-                tf.in_channels);
-  const std::size_t plane = static_cast<std::size_t>(tf.out_channels) *
-                            tf.in_channels;
-  for (int oc = 0; oc < tf.out_channels; ++oc) {
-    for (int ic = 0; ic < tf.in_channels; ++ic) {
-      const Matrix& u = tf.at(oc, ic);
-      const std::size_t off = static_cast<std::size_t>(oc) * tf.in_channels + ic;
-      for (int ab = 0; ab < n * n; ++ab) {
-        plan.u[static_cast<std::size_t>(ab) * plane + off] =
-            u.at(ab / n, ab % n);
+
+  std::vector<double> g(static_cast<std::size_t>(n) * r);
+  for (int a = 0; a < n; ++a) {
+    for (int u = 0; u < r; ++u) {
+      g[static_cast<std::size_t>(a) * r + u] = t.g.at(a, u);
+    }
+  }
+  // U^T planes [ab][ic][oc]: input channels outer and output channels inner,
+  // so each of the n^2 planes is written as one sequential stream.
+  const std::size_t plane = static_cast<std::size_t>(in_c) * out_c;
+  std::vector<float> ut(static_cast<std::size_t>(n) * n * plane);
+  std::vector<double> gf(static_cast<std::size_t>(n) * r);
+  for (int ic = 0; ic < in_c; ++ic) {
+    for (int oc = 0; oc < out_c; ++oc) {
+      // G g (n x r), then (G g) G^T (n x n), accumulated in double.
+      for (int a = 0; a < n; ++a) {
+        for (int v = 0; v < r; ++v) {
+          double acc = 0.0;
+          for (int u = 0; u < r; ++u) {
+            acc += g[static_cast<std::size_t>(a) * r + u] * f.at(oc, ic, u, v);
+          }
+          gf[static_cast<std::size_t>(a) * r + v] = acc;
+        }
+      }
+      float* dst = ut.data() + static_cast<std::size_t>(ic) * out_c + oc;
+      for (int a = 0; a < n; ++a) {
+        for (int b = 0; b < n; ++b) {
+          double acc = 0.0;
+          for (int v = 0; v < r; ++v) {
+            acc += gf[static_cast<std::size_t>(a) * r + v] *
+                   g[static_cast<std::size_t>(b) * r + v];
+          }
+          dst[static_cast<std::size_t>(a * n + b) * plane] =
+              static_cast<float>(acc);
+        }
       }
     }
   }
-  return plan;
-}
-
-nn::Tensor winograd_conv_pretransformed(const TransformedFilters& tf,
-                                        const nn::Tensor& in,
-                                        const std::vector<float>& bias,
-                                        int pad, bool fused_relu) {
-  const nn::Shape is = in.shape();
-  if (is.c != tf.in_channels) {
-    throw std::invalid_argument("winograd_conv: channel mismatch");
+  plan.ut.reserve(static_cast<std::size_t>(n) * n);
+  for (int ab = 0; ab < n * n; ++ab) {
+    plan.ut.emplace_back(ut.data() + static_cast<std::size_t>(ab) * plane,
+                         in_c, out_c, out_c);
   }
-  const int oh = is.h + 2 * pad - tf.t.r + 1;  // stride 1
-  const int ow = is.w + 2 * pad - tf.t.r + 1;
-  nn::Tensor out(tf.out_channels, oh, ow);
-  const kernels::WinogradPlan plan = pack_winograd_plan(tf);
-  kernels::winograd_conv_f32(plan, in.data(), is.h, is.w, pad,
-                             bias.empty() ? nullptr : bias.data(), fused_relu,
-                             out.data(), oh, ow, /*threads=*/0);
-  return out;
+  return plan;
 }
 
 nn::Tensor winograd_conv_pretransformed_scalar(const TransformedFilters& tf,
@@ -173,8 +194,18 @@ nn::Tensor winograd_conv(const WinogradTransform& t, const nn::Tensor& in,
                          const nn::FilterBank& filters,
                          const std::vector<float>& bias, int pad,
                          bool fused_relu) {
-  return winograd_conv_pretransformed(transform_filters(t, filters), in, bias,
-                                      pad, fused_relu);
+  const nn::Shape is = in.shape();
+  if (is.c != filters.in_channels()) {
+    throw std::invalid_argument("winograd_conv: channel mismatch");
+  }
+  const int oh = is.h + 2 * pad - t.r + 1;  // stride 1
+  const int ow = is.w + 2 * pad - t.r + 1;
+  nn::Tensor out(filters.out_channels(), oh, ow);
+  const kernels::WinogradPlan plan = pack_winograd_plan(t, filters);
+  kernels::winograd_conv_f32(plan, in.data(), is.h, is.w, pad,
+                             bias.empty() ? nullptr : bias.data(), fused_relu,
+                             out.data(), oh, ow, /*threads=*/0);
+  return out;
 }
 
 namespace {

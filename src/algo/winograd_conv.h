@@ -10,8 +10,10 @@
 namespace hetacc::algo {
 
 /// Filters pre-transformed into the Winograd domain: U[n][m] is an n() x n()
-/// matrix per (output, input) channel pair. FPGA flows do this offline; we
-/// expose it so tests can check it is computed once, not per tile.
+/// double matrix per (output, input) channel pair. The HLS generator emits
+/// them and the double scalar oracle (winograd_conv_pretransformed_scalar)
+/// consumes them; the float datapath builds its f32 plan straight from the
+/// filters instead (pack_winograd_plan).
 struct TransformedFilters {
   WinogradTransform t;
   int out_channels = 0;
@@ -26,26 +28,26 @@ struct TransformedFilters {
 [[nodiscard]] TransformedFilters transform_filters(const WinogradTransform& t,
                                                    const nn::FilterBank& f);
 
-/// Re-lays the pre-transformed filters out as the n^2 (out_c x in_c) planes
-/// the batched transform-domain GEMM consumes (kernels/wino_gemm.h). Done
-/// once per layer; the plan is shared across images and engine instances.
+/// Transforms the filters (U = G g G^T, in double, rounded once to f32) and
+/// packs each tile position's U^T[ab] (in_c x out_c) as the pre-packed GEMM
+/// right-hand side the batched strip consumes (kernels/wino_gemm.h), in one
+/// flat pass with no per-filter temporaries. Done once per layer; the plan
+/// is shared across images, engine instances and fleet replicas.
 [[nodiscard]] kernels::WinogradPlan pack_winograd_plan(
-    const TransformedFilters& tf);
+    const WinogradTransform& t, const nn::FilterBank& f);
 
 /// Float Winograd convolution, stride 1 (the algorithm's applicability
-/// condition, paper §2.1). `pad` is the conv zero padding.
+/// condition, paper §2.1). `pad` is the conv zero padding. Packs the plan on
+/// every call; callers that convolve repeatedly build it once with
+/// pack_winograd_plan and call kernels::winograd_conv_f32.
 [[nodiscard]] nn::Tensor winograd_conv(const WinogradTransform& t,
                                        const nn::Tensor& in,
                                        const nn::FilterBank& filters,
                                        const std::vector<float>& bias, int pad,
                                        bool fused_relu);
 
-/// Same but with pre-transformed filters (how an accelerator would run it).
-[[nodiscard]] nn::Tensor winograd_conv_pretransformed(
-    const TransformedFilters& tf, const nn::Tensor& in,
-    const std::vector<float>& bias, int pad, bool fused_relu);
-
-/// Seed per-tile scalar implementation (golden reference / bench baseline).
+/// Seed per-tile double implementation: the test oracle of the f32 datapath
+/// and the bench baseline.
 [[nodiscard]] nn::Tensor winograd_conv_pretransformed_scalar(
     const TransformedFilters& tf, const nn::Tensor& in,
     const std::vector<float>& bias, int pad, bool fused_relu);

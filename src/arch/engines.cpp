@@ -257,7 +257,7 @@ class WinogradEngine final : public RowWindowBase {
       // No shared plan supplied: transform the filters here, once per
       // engine (the pipeline caches and shares plans across images).
       plan_ = std::make_shared<const kernels::WinogradPlan>(
-          algo::pack_winograd_plan(algo::transform_filters(t, w.filters)));
+          algo::pack_winograd_plan(t, w.filters));
     }
     tiles_w_ = (layer.out.w + t.m - 1) / t.m;
     strip_w_ = (tiles_w_ - 1) * t.m + t.n();

@@ -21,12 +21,26 @@ std::vector<LayerChoice> choices_of(const core::Strategy& s) {
   return ch;
 }
 
+namespace {
+
+/// CRC-32 of a float Winograd plan's transforms and packed U^T panels,
+/// continuing from `crc`.
+std::uint32_t wino_plan_crc(const kernels::WinogradPlan& p,
+                            std::uint32_t crc = 0u) {
+  crc = fault::crc32(p.bt.data(), p.bt.size() * sizeof(float), crc);
+  crc = fault::crc32(p.at.data(), p.at.size() * sizeof(float), crc);
+  for (const kernels::PackedRhsF32& u : p.ut) {
+    crc = fault::crc32(u.data().data(), u.data().size() * sizeof(float), crc);
+  }
+  return crc;
+}
+
+}  // namespace
+
 long long PrepackBundle::resident_bytes() const {
   long long total = 0;
   for (const auto& p : wino) {
-    if (!p) continue;
-    total += static_cast<long long>(
-        (p->bt.size() + p->at.size() + p->u.size()) * sizeof(double));
+    if (p) total += p->footprint_bytes();
   }
   for (const auto& p : packed) {
     if (p) total += p->footprint_bytes();
@@ -54,10 +68,7 @@ std::uint32_t PrepackBundle::content_crc() const {
     }
   };
   for (const auto& p : wino) {
-    if (!p) continue;
-    fold(p->bt.data(), p->bt.size() * sizeof(double));
-    fold(p->at.data(), p->at.size() * sizeof(double));
-    fold(p->u.data(), p->u.size() * sizeof(double));
+    if (p) crc = wino_plan_crc(*p, crc);
   }
   for (const auto& p : packed) {
     if (p) fold_packed(*p);
@@ -112,8 +123,9 @@ FusionPipeline::FusionPipeline(const nn::Network& net,
 }
 
 void FusionPipeline::derive_layer_constants() {
-  // Derive per-layer constants once: transformed Winograd filters (the seed
-  // re-ran transform_filters for every image) and packed GEMM weight panels.
+  // Derive per-layer constants once: packed transform-domain Winograd
+  // filter panels (the seed re-transformed the filters for every image) and
+  // packed GEMM weight panels.
   //
   // With a fault plan installed, the resident filter copy each constant is
   // derived from may take bit flips (modeled SEUs on the on-chip weight
@@ -164,19 +176,17 @@ void FusionPipeline::derive_layer_constants() {
       const algo::WinogradTransform t =
           algo::winograd(choices_[i].wino_m, l.conv().kernel);
       auto plan = std::make_shared<kernels::WinogradPlan>(
-          algo::pack_winograd_plan(algo::transform_filters(t, *filters)));
+          algo::pack_winograd_plan(t, *filters));
       if (filters != &w.filters && protect_.enabled &&
           protect_.wino_checksum) {
         // Checksum-verified filter transform: the transform unit checks its
-        // output against the column checksum stored with the golden plan.
-        const auto golden = algo::pack_winograd_plan(
-            algo::transform_filters(t, w.filters));
-        if (fault::crc32(plan->u.data(), plan->u.size() * sizeof(double)) !=
-            fault::crc32(golden.u.data(),
-                         golden.u.size() * sizeof(double))) {
+        // packed output panels against the checksum stored with the golden
+        // plan.
+        auto golden = algo::pack_winograd_plan(t, w.filters);
+        if (wino_plan_crc(*plan) != wino_plan_crc(golden)) {
           injector_->count_detected();
           injector_->count_recovered();
-          *plan = golden;  // re-transform from the clean filters
+          *plan = std::move(golden);  // re-transform from the clean filters
         }
       }
       b.wino[i] = std::move(plan);

@@ -43,8 +43,8 @@ struct PipelineStats {
   long long total_steps = 0;
 };
 
-/// Per-layer derived constants — transformed Winograd filter planes, packed
-/// GEMM weight panels, int8 quantized constants — index-aligned with the
+/// Per-layer derived constants — packed transform-domain Winograd filter
+/// panels, packed GEMM weight panels, int8 quantized constants — index-aligned with the
 /// pipeline's layer choices (null where a layer has none). Immutable once
 /// built; pipelines hold it by shared_ptr so replicas serving the same
 /// (model, strategy, datapath) alias one copy instead of duplicating the

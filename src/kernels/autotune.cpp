@@ -38,7 +38,6 @@ void fill_pattern(std::vector<T>& v) {
 struct Workload {
   int M = 64, N = 56 * 56, K = 64 * 9;
   std::vector<float> af, bf;
-  std::vector<double> cf64ab;  // f64 path reuses double operands
   std::vector<std::int16_t> a16, b16;
   std::vector<std::int8_t> a8, b8;
   std::vector<float> cf;
@@ -64,11 +63,6 @@ struct Workload {
         } else {
           cd.resize(mn);
         }
-        break;
-      case Datapath::kF64:
-        cf64ab.resize(mk + kn);
-        fill_pattern(cf64ab);
-        cd.resize(mn);
         break;
       case Datapath::kI16:
         a16.resize(mk);
@@ -97,11 +91,6 @@ struct Workload {
       case Datapath::kF32d:
         gemm_f32d(M, N, K, af.data(), K, bf.data(), N, cd.data(), N, nullptr,
                   false, threads);
-        break;
-      case Datapath::kF64:
-        gemm_f64(M, N, K, cf64ab.data(), K,
-                 cf64ab.data() + static_cast<std::size_t>(M) * K, N,
-                 cd.data(), N, threads);
         break;
       case Datapath::kI16:
         gemm_i16(M, N, K, a16.data(), K, b16.data(), N, c64.data(), N,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 #include <type_traits>
 
 #include "kernels/arena.h"
@@ -54,9 +56,13 @@ void micro_scalar(int kb, const TA* a, const TA* b, TAcc* acc) {
 
 #ifdef HETACC_VEC
 
-// The wide-vector helpers pass 256/512-bit values through TU-internal inline
-// functions; GCC's -Wpsabi ABI note does not apply (nothing crosses a TU
-// boundary), so it is silenced for this block.
+// The wide-vector helpers take and return 256/512-bit values. Both stamps
+// call them, so they must never exist as one shared out-of-line copy: that
+// copy would be compiled for the baseline target while the AVX2 stamp passes
+// its vectors in ymm registers, and at -O0 (where plain `inline` is not
+// honored) the mismatch returns garbage. always_inline folds them into each
+// caller under the caller's own target, which is also why GCC's -Wpsabi ABI
+// note does not apply and is silenced for this block.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic ignored "-Wpsabi"
 #endif
@@ -70,14 +76,14 @@ typedef std::int32_t vi8 __attribute__((vector_size(32)));
 typedef std::int64_t vl8 __attribute__((vector_size(64)));
 
 template <typename V, typename T>
-inline V vload(const T* p) {
+__attribute__((always_inline)) inline V vload(const T* p) {
   V v;
   std::memcpy(&v, p, sizeof(V));
   return v;
 }
 
 template <typename T, typename V>
-inline void vstore(T* p, V v) {
+__attribute__((always_inline)) inline void vstore(T* p, V v) {
   std::memcpy(p, &v, sizeof(V));
 }
 
@@ -150,26 +156,6 @@ struct MK<float, double> {
     (void)simd;
 #endif
     return &micro_scalar<float, double, NR>;
-  }
-};
-
-template <>
-struct MK<double, double> {
-  static constexpr int NR = 8;
-  static constexpr Datapath dp = Datapath::kF64;
-  using Fn = void (*)(int, const double*, const double*, double*);
-  static Fn pick(bool simd) {
-#ifdef HETACC_VEC
-    if (simd) {
-#ifdef HETACC_X86_DISPATCH
-      if (cpu_has_avx2_fma()) return &micro_f64_avx2;
-#endif
-      return &micro_f64_base;
-    }
-#else
-    (void)simd;
-#endif
-    return &micro_scalar<double, double, NR>;
   }
 };
 
@@ -259,9 +245,10 @@ struct RequantSink {
   const QuantParams* q = nullptr;
 };
 
-/// Blocked GEMM driver. Exactly one of A / pA is used. Per KC step and NC
-/// block: pack B once (parallel over panels, then shared read-only), pack A
-/// blocks once per KC step unless pre-packed, then run the 2D (MC-block x
+/// Blocked GEMM driver. Exactly one of A / pA and one of B / pB is used. Per
+/// KC step and NC block: pack B once unless pre-packed (parallel over
+/// panels, then shared read-only), pack A blocks once per KC step unless
+/// pre-packed, then run the 2D (MC-block x
 /// NR-panel) tile grid cooperatively — every tile owns a disjoint patch of
 /// C, each KC step is a barrier, and per-element accumulation is
 /// k-ascending, so output bytes are independent of the thread count, the
@@ -276,7 +263,8 @@ template <typename TA, typename TAcc, typename TC, typename TBias,
 void gemm_run(int M, int N, int K, const TA* A, int lda,
               const PackedLhsT<TA>* pA, const TA* B, int ldb, TC* C, int ldc,
               const TBias* bias, bool relu, int threads, bool use_simd,
-              const BlockingParams& bp, const RequantSink* sink = nullptr) {
+              const BlockingParams& bp, const RequantSink* sink = nullptr,
+              const PackedRhsT<TA>* pB = nullptr) {
   if (M <= 0 || N <= 0) return;
   if (K <= 0) {
     for (int i = 0; i < M; ++i) {
@@ -303,10 +291,16 @@ void gemm_run(int M, int N, int K, const TA* A, int lda,
   const typename MK<TA, TAcc>::Fn micro = MK<TA, TAcc>::pick(use_simd);
   if (threads == 0) threads = num_threads();
 
-  // Pre-packed A bakes its (MC, KC); otherwise take the dispatch blocking.
+  // A pre-packed operand bakes its blocking (A: MC and KC; B: KC, NC and
+  // NR); otherwise take the dispatch blocking.
+  if (pB && pB->nr() != NR) {
+    throw std::logic_error("gemm: pre-packed B has NR=" +
+                           std::to_string(pB->nr()) + ", datapath needs " +
+                           std::to_string(NR));
+  }
   const int mc = pA ? pA->mc() : bp.mc;
-  const int kc = pA ? pA->kc() : bp.kc;
-  const int ncb = bp.nc > 0 ? std::min(bp.nc, N) : N;
+  const int kc = pA ? pA->kc() : pB ? pB->kc() : bp.kc;
+  const int ncb = pB ? pB->nc() : bp.nc > 0 ? std::min(bp.nc, N) : N;
 
   const int iblocks = (M + mc - 1) / mc;
   const int jpanels_cap = (ncb + NR - 1) / NR;
@@ -314,8 +308,9 @@ void gemm_run(int M, int N, int K, const TA* A, int lda,
 
   ScratchArena& arena = ScratchArena::tls();
   ScratchArena::Scope scope(arena);
-  TA* bpack =
-      arena.alloc<TA>(static_cast<std::size_t>(jpanels_cap) * NR * kc);
+  TA* bpack = pB ? nullptr
+                 : arena.alloc<TA>(static_cast<std::size_t>(jpanels_cap) *
+                                   NR * kc);
   TA* apack = nullptr;
   if (!pA) {
     apack = arena.alloc<TA>(static_cast<std::size_t>(iblocks) * mpanels_cap *
@@ -343,19 +338,22 @@ void gemm_run(int M, int N, int K, const TA* A, int lda,
                    });
     }
 
-    for (int jc = 0; jc < N; jc += ncb) {
+    for (int jc = 0, jb = 0; jc < N; jc += ncb, ++jb) {
       const int nb = std::min(ncb, N - jc);
       const int jpanels = (nb + NR - 1) / NR;
 
       // Pack this NC block's B panel row once; every compute task below
       // reads it, no task re-packs.
-      parallel_for(static_cast<std::size_t>(jpanels), 8, threads,
-                   [&](std::size_t pj) {
-                     const int j0 = jc + static_cast<int>(pj) * NR;
-                     pack_b_panel<TA, NR>(
-                         B, ldb, p0, kb, j0, std::min(NR, N - j0),
-                         bpack + pj * static_cast<std::size_t>(NR) * kb);
-                   });
+      const TA* bblk = pB ? pB->block(pb, jb) : bpack;
+      if (!pB) {
+        parallel_for(static_cast<std::size_t>(jpanels), 8, threads,
+                     [&](std::size_t pj) {
+                       const int j0 = jc + static_cast<int>(pj) * NR;
+                       pack_b_panel<TA, NR>(
+                           B, ldb, p0, kb, j0, std::min(NR, jc + nb - j0),
+                           bpack + pj * static_cast<std::size_t>(NR) * kb);
+                     });
+      }
 
       // 2D cooperative tile grid. Task index g walks NR-panels fastest so
       // consecutive chunks reuse the same packed A block while B panels
@@ -372,9 +370,12 @@ void gemm_run(int M, int N, int K, const TA* A, int lda,
         const TA* ablk =
             pA ? pA->block(pb, ib).data()
                : apack + ib * static_cast<std::size_t>(mpanels_cap) * MR * kb;
-        const TA* bpan = bpack + pj * static_cast<std::size_t>(NR) * kb;
+        const TA* bpan = bblk + pj * static_cast<std::size_t>(NR) * kb;
+        // A panel never reaches past its NC block: an NC width that is not
+        // a multiple of NR leaves a narrow last panel rather than one that
+        // re-adds the next block's columns on every later KC step.
         const int j0 = jc + pj * NR;
-        const int cols = std::min(NR, N - j0);
+        const int cols = std::min(NR, jc + nb - j0);
         const int ipanels = (mb + MR - 1) / MR;
         for (int pi = 0; pi < ipanels; ++pi) {
           TAcc acc[MR * NR];
@@ -501,6 +502,45 @@ PackedLhsT<T>::PackedLhsT(const T* A, int M, int K, int lda,
 template class PackedLhsT<float>;
 template class PackedLhsT<std::int8_t>;
 
+template <typename T>
+PackedRhsT<T>::PackedRhsT(const T* B, int K, int N, int ldb)
+    : PackedRhsT(B, K, N, ldb, blocking_for(pack_datapath<T>())) {}
+
+template <typename T>
+PackedRhsT<T>::PackedRhsT(const T* B, int K, int N, int ldb,
+                          const BlockingParams& bp)
+    : k_(K), n_(N), kc_(bp.kc), nr_(MK<T, T>::NR) {
+  constexpr int NR = MK<T, T>::NR;
+  nc_ = bp.nc > 0 ? std::min(bp.nc, N) : N;
+  const int pblocks = K > 0 ? (K + kc_ - 1) / kc_ : 0;
+  jblocks_ = N > 0 ? (N + nc_ - 1) / nc_ : 0;
+  offsets_.reserve(static_cast<std::size_t>(pblocks) * jblocks_);
+  std::size_t total = 0;
+  for (int p0 = 0; p0 < K; p0 += kc_) {
+    const int kb = std::min(kc_, K - p0);
+    for (int jc = 0; jc < N; jc += nc_) {
+      offsets_.push_back(total);
+      const int jpanels = (std::min(nc_, N - jc) + NR - 1) / NR;
+      total += static_cast<std::size_t>(jpanels) * NR * kb;
+    }
+  }
+  data_.resize(total);
+  for (int p0 = 0, pb = 0; p0 < K; p0 += kc_, ++pb) {
+    const int kb = std::min(kc_, K - p0);
+    for (int jc = 0, jb = 0; jc < N; jc += nc_, ++jb) {
+      T* blk = data_.data() + offsets_[static_cast<std::size_t>(pb) *
+                                           jblocks_ + jb];
+      const int nb = std::min(nc_, N - jc);
+      for (int j0 = jc, pj = 0; j0 < jc + nb; j0 += NR, ++pj) {
+        pack_b_panel<T, NR>(B, ldb, p0, kb, j0, std::min(NR, jc + nb - j0),
+                            blk + static_cast<std::size_t>(pj) * NR * kb);
+      }
+    }
+  }
+}
+
+template class PackedRhsT<float>;
+
 void gemm_f32(int M, int N, int K, const float* A, int lda, const float* B,
               int ldb, float* C, int ldc, const float* bias, bool relu,
               int threads) {
@@ -514,6 +554,13 @@ void gemm_f32(const PackedLhsF32& A, int N, const float* B, int ldb, float* C,
   gemm_run<float, float, float, float>(A.rows(), N, A.depth(), nullptr, 0, &A,
                                        B, ldb, C, ldc, bias, relu, threads,
                                        true, blocking_for(Datapath::kF32));
+}
+
+void gemm_f32(int M, const float* A, int lda, const PackedRhsF32& B, float* C,
+              int ldc, const float* bias, bool relu, int threads) {
+  gemm_run<float, float, float, float>(
+      M, B.cols(), B.depth(), A, lda, nullptr, nullptr, 0, C, ldc, bias, relu,
+      threads, true, blocking_for(Datapath::kF32), nullptr, &B);
 }
 
 void gemm_f32d(int M, int N, int K, const float* A, int lda, const float* B,
@@ -530,13 +577,6 @@ void gemm_f32d(const PackedLhsF32& A, int N, const float* B, int ldb,
                                          &A, B, ldb, C, ldc, bias, relu,
                                          threads, true,
                                          blocking_for(Datapath::kF32d));
-}
-
-void gemm_f64(int M, int N, int K, const double* A, int lda, const double* B,
-              int ldb, double* C, int ldc, int threads) {
-  gemm_run<double, double, double, double>(M, N, K, A, lda, nullptr, B, ldb, C,
-                                           ldc, nullptr, false, threads, true,
-                                           blocking_for(Datapath::kF64));
 }
 
 void gemm_i16(int M, int N, int K, const std::int16_t* A, int lda,
@@ -610,14 +650,6 @@ void gemm_f32d(int M, int N, int K, const float* A, int lda, const float* B,
   gemm_run<float, double, double, float>(M, N, K, A, lda, nullptr, B, ldb, C,
                                          ldc, bias, relu, threads, false,
                                          blocking_for(Datapath::kF32d));
-}
-
-void gemm_f64(int M, int N, int K, const double* A, int lda, const double* B,
-              int ldb, double* C, int ldc, int threads) {
-  gemm_run<double, double, double, double>(M, N, K, A, lda, nullptr, B, ldb,
-                                           C, ldc, nullptr, false, threads,
-                                           false,
-                                           blocking_for(Datapath::kF64));
 }
 
 void gemm_i16(int M, int N, int K, const std::int16_t* A, int lda,

@@ -83,6 +83,50 @@ class PackedLhsT {
 using PackedLhsF32 = PackedLhsT<float>;
 using PackedLhsI8 = PackedLhsT<std::int8_t>;
 
+/// Right operand pre-packed into NR-interleaved k-major panels: a K x N
+/// matrix many GEMM calls multiply against (the transform-domain Winograd
+/// filters are packed once per layer and read by every strip of every
+/// image). The pack bakes the (KC, NC) blocking and the micro-kernel
+/// register width NR it was built with, the way PackedLhsT bakes (MC, KC):
+/// gemm_run reads them back from the pack, so a blocking tuned after pack
+/// time cannot misread the panels, and a datapath with a different NR
+/// rejects the pack instead of misreading it. All panels live in one flat
+/// buffer (data()), which integrity scans checksum in one pass.
+template <typename T>
+class PackedRhsT {
+ public:
+  PackedRhsT() = default;
+  /// Packs row-major B (K x N, leading dimension ldb) with the datapath's
+  /// current blocking.
+  PackedRhsT(const T* B, int K, int N, int ldb);
+  /// Packs with an explicit blocking (tests).
+  PackedRhsT(const T* B, int K, int N, int ldb, const BlockingParams& bp);
+
+  [[nodiscard]] int depth() const { return k_; }
+  [[nodiscard]] int cols() const { return n_; }
+  [[nodiscard]] int kc() const { return kc_; }
+  [[nodiscard]] int nc() const { return nc_; }
+  [[nodiscard]] int nr() const { return nr_; }
+  /// Panels of K-block pb and NC-block jb (kernel-layer internal).
+  [[nodiscard]] const T* block(int pb, int jb) const {
+    return data_.data() +
+           offsets_[static_cast<std::size_t>(pb) * jblocks_ + jb];
+  }
+  /// Every packed panel, in (K-block, NC-block) order.
+  [[nodiscard]] const std::vector<T>& data() const { return data_; }
+  [[nodiscard]] long long footprint_bytes() const {
+    return static_cast<long long>(data_.size() * sizeof(T));
+  }
+
+ private:
+  int k_ = 0, n_ = 0, jblocks_ = 0;
+  int kc_ = 256, nc_ = 0, nr_ = 0;
+  std::vector<T> data_;
+  std::vector<std::size_t> offsets_;
+};
+
+using PackedRhsF32 = PackedRhsT<float>;
+
 /// C (M x N, ldc) = A (M x K, lda) * B (K x N, ldb), float accumulation.
 /// If `bias` is non-null, row i is offset by bias[i]; `relu` clamps at 0.
 /// `threads`: 0 = kernel-layer default (num_threads()), 1 = serial, n = n.
@@ -90,6 +134,10 @@ void gemm_f32(int M, int N, int K, const float* A, int lda, const float* B,
               int ldb, float* C, int ldc, const float* bias, bool relu,
               int threads);
 void gemm_f32(const PackedLhsF32& A, int N, const float* B, int ldb, float* C,
+              int ldc, const float* bias, bool relu, int threads);
+/// C (M x B.cols()) = A (M x B.depth()) * B with B pre-packed; bitwise equal
+/// to the raw-B call under the blocking the pack baked.
+void gemm_f32(int M, const float* A, int lda, const PackedRhsF32& B, float* C,
               int ldc, const float* bias, bool relu, int threads);
 
 /// Float operands, double accumulation, double C — the conv-engine datapath
@@ -99,10 +147,6 @@ void gemm_f32d(int M, int N, int K, const float* A, int lda, const float* B,
                int threads);
 void gemm_f32d(const PackedLhsF32& A, int N, const float* B, int ldb,
                double* C, int ldc, const float* bias, bool relu, int threads);
-
-/// Double GEMM for transform-domain Winograd planes. C is overwritten.
-void gemm_f64(int M, int N, int K, const double* A, int lda, const double* B,
-              int ldb, double* C, int ldc, int threads);
 
 /// int16 x int16 -> exact int64 accumulation (DSP MAC-tree model; integer
 /// addition commutes, so any restructuring is bit-exact). C is overwritten.
@@ -187,8 +231,6 @@ void gemm_f32(int M, int N, int K, const float* A, int lda, const float* B,
 void gemm_f32d(int M, int N, int K, const float* A, int lda, const float* B,
                int ldb, double* C, int ldc, const float* bias, bool relu,
                int threads);
-void gemm_f64(int M, int N, int K, const double* A, int lda, const double* B,
-              int ldb, double* C, int ldc, int threads);
 void gemm_i16(int M, int N, int K, const std::int16_t* A, int lda,
               const std::int16_t* B, int ldb, std::int64_t* C, int ldc,
               int threads);

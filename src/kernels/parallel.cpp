@@ -14,9 +14,15 @@ namespace {
 
 std::atomic<int> g_default_threads{1};
 
+/// Online CPU count, read once: std::thread::hardware_concurrency() reads
+/// /sys on glibc (about 4 us a call), and every parallel region and GEMM
+/// call resolves its thread count through here.
 unsigned hardware_threads() {
-  const unsigned hc = std::thread::hardware_concurrency();
-  return hc ? hc : 1u;
+  static const unsigned hc = [] {
+    const unsigned n = std::thread::hardware_concurrency();
+    return n ? n : 1u;
+  }();
+  return hc;
 }
 
 /// One parallel_for invocation. Kept alive by shared_ptr so a worker that

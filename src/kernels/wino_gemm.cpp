@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -22,10 +23,11 @@ namespace hetacc::kernels {
 
 namespace {
 
-// Both helpers mirror algo::Matrix::operator* — left-element zero skip,
-// k-ascending accumulation, identical expression shape — so the seed's
-// double transform results are reproduced bit-for-bit (the skip can only
-// flip signed zeros, which the downstream quantization erases).
+// The double helpers of the fixed datapath mirror algo::Matrix::operator* —
+// left-element zero skip, k-ascending accumulation, identical expression
+// shape — so the seed's double transform results are reproduced bit-for-bit
+// (the skip can only flip signed zeros, which the downstream quantization
+// erases).
 
 /// C (ra x cb) = A (ra x ca) * B (ca x cb), all row-major.
 void matmul_nn(const double* A, int ra, int ca, const double* B, int cb,
@@ -75,28 +77,65 @@ inline void gather_tile(const float* cplane, int strip_w, int tj, int m, int n,
   }
 }
 
-inline float finish_output(float val, bool relu, int out_frac) {
-  if (relu) val = std::max(val, 0.0f);
-  return out_frac >= 0 ? fixed::quantize_to_float(val, out_frac) : val;
+// Lane vectors of the f32 transforms: eight floats, one per channel.
+// GCC/Clang generic vectors, legalized to whatever the build targets (two
+// SSE registers on a baseline x86-64 build).
+constexpr int kLanes = 8;
+typedef float vlane __attribute__((vector_size(kLanes * sizeof(float))));
+
+inline std::size_t lane_blocks(std::size_t lanes) {
+  return (lanes + kLanes - 1) / kLanes;
 }
 
-/// Inverse-transform one (oc, tile) result and scatter it to the output
-/// rows, clipping the bottom/right edge tiles.
-inline void scatter_tile(const double* macc, const double* at, int m, int n,
-                         float* const* out_rows, int out_c, int oc, int tj,
-                         int rows_out, int out_w, float bias, bool relu,
-                         int out_frac) {
-  double p[kWinogradMaxN * kWinogradMaxN];
-  double y[kWinogradMaxN * kWinogradMaxN];
-  matmul_nn(at, m, n, macc, n, p);
-  matmul_nt(p, m, n, at, m, y);
-  for (int a = 0; a < rows_out; ++a) {
-    float* orow = out_rows[static_cast<std::size_t>(a) * out_c + oc];
-    for (int b = 0; b < m; ++b) {
-      const int col = tj * m + b;
-      if (col >= out_w) break;
-      const float val = static_cast<float>(y[a * m + b]) + bias;
-      orow[col] = finish_output(val, relu, out_frac);
+/// The first `live` lanes of a vector from / to memory; full blocks take
+/// the fixed-size path the compiler turns into plain vector moves.
+inline void load_lanes(const float* src, int live, vlane& x) {
+  if (live == kLanes) {
+    std::memcpy(&x, src, sizeof(vlane));
+  } else {
+    x = vlane{};
+    std::memcpy(&x, src, static_cast<std::size_t>(live) * sizeof(float));
+  }
+}
+
+inline void store_lanes(float* dst, const vlane& x, int live) {
+  if (live == kLanes) {
+    std::memcpy(dst, &x, sizeof(vlane));
+  } else {
+    std::memcpy(dst, &x, static_cast<std::size_t>(live) * sizeof(float));
+  }
+}
+
+/// Y (ra x cb) = A (ra x ca, scalar) * X (ca x cb), every X/Y entry a lane
+/// vector. Zero coefficients of the sparse transform matrices are skipped.
+inline void lanes_nn(const float* A, int ra, int ca, const vlane* X, int cb,
+                     vlane* Y) {
+  for (int r = 0; r < ra; ++r) {
+    vlane* yr = Y + static_cast<std::size_t>(r) * cb;
+    for (int c = 0; c < cb; ++c) yr[c] = vlane{};
+    for (int k = 0; k < ca; ++k) {
+      const float a = A[static_cast<std::size_t>(r) * ca + k];
+      if (a == 0.0f) continue;
+      const vlane av = vlane{} + a;
+      const vlane* xk = X + static_cast<std::size_t>(k) * cb;
+      for (int c = 0; c < cb; ++c) yr[c] += av * xk[c];
+    }
+  }
+}
+
+/// Y (ra x rb) = X (ra x ca) * A^T where A is (rb x ca) scalar, row-major.
+inline void lanes_nt(const vlane* X, int ra, int ca, const float* A, int rb,
+                     vlane* Y) {
+  for (int r = 0; r < ra; ++r) {
+    const vlane* xr = X + static_cast<std::size_t>(r) * ca;
+    for (int c = 0; c < rb; ++c) {
+      vlane acc{};
+      for (int k = 0; k < ca; ++k) {
+        const float a = A[static_cast<std::size_t>(c) * ca + k];
+        if (a == 0.0f) continue;
+        acc += xr[k] * (vlane{} + a);
+      }
+      Y[static_cast<std::size_t>(r) * rb + c] = acc;
     }
   }
 }
@@ -115,56 +154,98 @@ void winograd_strip(const WinogradPlan& plan, const float* strip, int strip_w,
                     int out_w, const float* bias, bool relu, int out_frac,
                     int threads) {
   const int n = plan.n, m = plan.m, T = tiles_w;
+  const int in_c = plan.in_c, out_c = plan.out_c;
   check_tile_size(n);
-  const std::size_t vplane = static_cast<std::size_t>(plan.in_c) * T;
-  const std::size_t mplane = static_cast<std::size_t>(plan.out_c) * T;
+  const std::size_t vplane = static_cast<std::size_t>(T) * in_c;
+  const std::size_t mplane = static_cast<std::size_t>(T) * out_c;
   ScratchArena& arena = ScratchArena::tls();
   ScratchArena::Scope scope(arena);
-  double* v = arena.alloc<double>(static_cast<std::size_t>(n) * n * vplane);
-  double* mm = arena.alloc<double>(static_cast<std::size_t>(n) * n * mplane);
+  float* v = arena.alloc<float>(static_cast<std::size_t>(n) * n * vplane);
+  float* mm = arena.alloc<float>(static_cast<std::size_t>(n) * n * mplane);
 
-  // Forward transform over the (in_c x tile) grid: each task owns one tile
-  // column of one channel and writes a disjoint V slot per plane.
-  parallel_for(static_cast<std::size_t>(plan.in_c) * T, tile_grain(T), threads,
-               [&](std::size_t g) {
-                 const std::size_t c = g / T;
-                 const int tj = static_cast<int>(g % T);
-                 const float* cplane =
-                     strip + c * static_cast<std::size_t>(n) * strip_w;
-                 double d[kWinogradMaxN * kWinogradMaxN];
-                 double tmp[kWinogradMaxN * kWinogradMaxN];
-                 double vt[kWinogradMaxN * kWinogradMaxN];
-                 gather_tile(cplane, strip_w, tj, m, n, d);
-                 matmul_nn(plan.bt.data(), n, n, d, n, tmp);
-                 matmul_nt(tmp, n, n, plan.bt.data(), n, vt);
-                 for (int ab = 0; ab < n * n; ++ab) {
-                   v[static_cast<std::size_t>(ab) * vplane + c * T + tj] =
-                       vt[ab];
-                 }
-               });
-
-  parallel_for(static_cast<std::size_t>(n) * n, threads, [&](std::size_t ab) {
-    gemm_f64(plan.out_c, T, plan.in_c, plan.plane(static_cast<int>(ab)),
-             plan.in_c, v + ab * vplane, T, mm + ab * mplane, T,
-             /*threads=*/1);
+  // Forward transform. A task owns eight input channels (one per lane) and
+  // walks the strip's tiles left to right, so its gathers stay on the same
+  // strip rows; V^T[ab]'s rows are (tile, in_c), so every plane store is
+  // one contiguous vector.
+  parallel_for(lane_blocks(in_c), 1, threads, [&](std::size_t blk) {
+    const int c0 = static_cast<int>(blk) * kLanes;
+    const int live = std::min(kLanes, in_c - c0);
+    alignas(32) float d[kWinogradMaxN * kWinogradMaxN * kLanes] = {};
+    vlane dv[kWinogradMaxN * kWinogradMaxN];
+    vlane tmp[kWinogradMaxN * kWinogradMaxN];
+    vlane vt[kWinogradMaxN * kWinogradMaxN];
+    for (int tj = 0; tj < T; ++tj) {
+      for (int l = 0; l < live; ++l) {
+        const float* src =
+            strip + static_cast<std::size_t>(c0 + l) * n * strip_w + tj * m;
+        for (int u = 0; u < n; ++u) {
+          const float* row = src + static_cast<std::size_t>(u) * strip_w;
+          for (int x = 0; x < n; ++x) d[(u * n + x) * kLanes + l] = row[x];
+        }
+      }
+      std::memcpy(dv, d, static_cast<std::size_t>(n) * n * sizeof(vlane));
+      lanes_nn(plan.bt.data(), n, n, dv, n, tmp);
+      lanes_nt(tmp, n, n, plan.bt.data(), n, vt);
+      float* vrow = v + static_cast<std::size_t>(tj) * in_c + c0;
+      for (int ab = 0; ab < n * n; ++ab) {
+        store_lanes(vrow + static_cast<std::size_t>(ab) * vplane, vt[ab],
+                    live);
+      }
+    }
   });
 
-  // Inverse transform + scatter over the (out_c x tile) grid: tile tj of
-  // channel oc touches only columns [tj*m, tj*m + m) of oc's output rows.
-  parallel_for(static_cast<std::size_t>(plan.out_c) * T, tile_grain(T),
-               threads, [&](std::size_t g) {
-                 const std::size_t oc = g / T;
-                 const int tj = static_cast<int>(g % T);
-                 double macc[kWinogradMaxN * kWinogradMaxN];
-                 const float b = bias ? bias[oc] : 0.0f;
-                 for (int ab = 0; ab < n * n; ++ab) {
-                   macc[ab] =
-                       mm[static_cast<std::size_t>(ab) * mplane + oc * T + tj];
-                 }
-                 scatter_tile(macc, plan.at.data(), m, n, out_rows, plan.out_c,
-                              static_cast<int>(oc), tj, rows_out, out_w, b,
-                              relu, out_frac);
-               });
+  // Transform-domain GEMMs against the pre-packed filter panels.
+  parallel_for(static_cast<std::size_t>(n) * n, threads, [&](std::size_t ab) {
+    gemm_f32(T, v + ab * vplane, in_c, plan.ut[ab], mm + ab * mplane, out_c,
+             /*bias=*/nullptr, /*relu=*/false, /*threads=*/1);
+  });
+
+  // Inverse transform + scatter. A task owns eight output channels (one
+  // per lane) and walks the tiles left to right: M^T[ab]'s rows are
+  // (tile, out_c), so every plane load is one contiguous vector, and each
+  // output row is filled left to right while its cache lines are hot.
+  parallel_for(lane_blocks(out_c), 1, threads, [&](std::size_t blk) {
+    const int oc0 = static_cast<int>(blk) * kLanes;
+    const int live = std::min(kLanes, out_c - oc0);
+    vlane mv[kWinogradMaxN * kWinogradMaxN];
+    vlane p[kWinogradMaxN * kWinogradMaxN];
+    vlane y[kWinogradMaxN * kWinogradMaxN];
+    alignas(32) float yf[kWinogradMaxN * kWinogradMaxN * kLanes];
+    // ReLU as a branchless clamp (a branch on the sign of each output
+    // mispredicts on real data); std::max keeps a NaN either way.
+    const float floor =
+        relu ? 0.0f : -std::numeric_limits<float>::infinity();
+    const int frac = out_frac;
+    for (int tj = 0; tj < T; ++tj) {
+      const float* mrow = mm + static_cast<std::size_t>(tj) * out_c + oc0;
+      for (int ab = 0; ab < n * n; ++ab) {
+        load_lanes(mrow + static_cast<std::size_t>(ab) * mplane, live,
+                   mv[ab]);
+      }
+      lanes_nn(plan.at.data(), m, n, mv, n, p);
+      lanes_nt(p, m, n, plan.at.data(), m, y);
+      std::memcpy(yf, y, static_cast<std::size_t>(m) * m * sizeof(vlane));
+      const int col0 = tj * m;
+      const int cols = std::min(m, out_w - col0);
+      for (int l = 0; l < live; ++l) {
+        const int oc = oc0 + l;
+        const float b = bias ? bias[oc] : 0.0f;
+        for (int a = 0; a < rows_out; ++a) {
+          float* orow =
+              out_rows[static_cast<std::size_t>(a) * out_c + oc] + col0;
+          const float* ya = yf + static_cast<std::size_t>(a) * m * kLanes + l;
+          for (int x = 0; x < cols; ++x) {
+            orow[x] = std::max(ya[x * kLanes] + b, floor);
+          }
+          if (frac >= 0) {
+            for (int x = 0; x < cols; ++x) {
+              orow[x] = fixed::quantize_to_float(orow[x], frac);
+            }
+          }
+        }
+      }
+    }
+  });
 }
 
 void winograd_strip_fixed(const WinogradPlanFixed& plan, const float* strip,

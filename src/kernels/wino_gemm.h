@@ -2,17 +2,26 @@
 // Winograd F(m x m, r x r) restructured as batched transform-domain GEMMs.
 //
 // Instead of the seed's per-tile elementwise channel loop, all tiles of a
-// tile-row strip are gathered, input-transformed, and laid out as n^2 planes
-// V[ab] of shape (in_c x tiles). One GEMM per tile position ab then computes
-// M[ab] (out_c x tiles) = U[ab] (out_c x in_c) * V[ab], and the inverse
-// transform scatters each (oc, tile) back to output rows. The filters are
-// packed into the plane layout exactly once per layer (WinogradPlan).
+// tile-row strip are gathered and input-transformed into n^2 planes
+// V^T[ab] of shape (tiles x in_c). One GEMM per tile position ab then
+// computes M^T[ab] (tiles x out_c) = V^T[ab] * U^T[ab], and the inverse
+// transform scatters each (tile, oc) back to output rows. Tiles sit on the
+// GEMM's M side and output channels on its N side, so the micro-kernel's
+// 16-wide register block is filled by out_c even when a strip holds only a
+// handful of tiles. The filters U^T[ab] (in_c x out_c) are transformed and
+// packed into pre-packed right-hand-side panels exactly once per layer
+// (WinogradPlan, built by algo::pack_winograd_plan).
 //
-// Determinism: parallelism is across the (input channel x tile) grid
-// (gather + forward transform), tile positions (GEMM batch), and the
-// (output channel x tile) grid (inverse transform + scatter) — independent
-// outputs only. Each output element's accumulation chain depends only on
-// (in_c, KC), never on the thread count or the grid chunking.
+// The float datapath is f32 end to end: f32 transforms, vectorized with one
+// channel per lane, and the f32 GEMM. The double per-tile seed
+// (algo::winograd_conv_pretransformed_scalar) is its test oracle.
+//
+// Determinism: parallelism is across blocks of eight input channels (gather
+// + forward transform), tile positions (GEMM batch), and blocks of eight
+// output channels (inverse transform + scatter) — independent outputs only.
+// Vector arithmetic is lane-wise, so an element's value does not depend on
+// which block or thread computed it, and each output element's accumulation
+// chain depends only on (in_c, KC).
 //
 // Scratch (transform planes, strip windows, quantized copies) comes from the
 // calling thread's ScratchArena, so repeated strips/images run with zero
@@ -20,31 +29,38 @@
 //
 // The fixed-point strip reproduces algo::winograd_conv_fixed bit-for-bit:
 // int16 x int16 -> int64 transform-domain accumulation commutes exactly, and
-// the float/double pre- and post-transforms mirror the accumulation order of
+// the double pre- and post-transforms mirror the accumulation order of
 // algo::Matrix::operator*.
 
 #include <cstdint>
 #include <vector>
 
+#include "kernels/gemm.h"
+
 namespace hetacc::kernels {
 
-/// Largest supported transform size n = m + r - 1 (per-tile temporaries are
-/// stack-allocated in the strip kernels).
+/// Largest supported transform size n = m + r - 1 (per-tile and per-lane-
+/// block temporaries are stack-allocated in the strip kernels).
 inline constexpr int kWinogradMaxN = 16;
 
-/// A Winograd layer packed for batched transform-domain GEMM: the transform
-/// matrices as flat doubles plus the pre-transformed filters re-laid-out as
-/// n^2 planes of (out_c x in_c). Built once per layer (see
-/// algo::pack_winograd_plan) and shared across images/engine instances.
+/// A float Winograd layer packed for batched transform-domain GEMM: the
+/// transform matrices as flat f32 plus one pre-packed GEMM right-hand side
+/// per tile position ab holding U^T[ab] (in_c x out_c). Built once per layer
+/// (see algo::pack_winograd_plan) and shared across images, engine instances
+/// and fleet replicas.
 struct WinogradPlan {
   int m = 0, r = 0, n = 0;
   int out_c = 0, in_c = 0;
-  std::vector<double> bt;  ///< n x n, row-major
-  std::vector<double> at;  ///< m x n, row-major
-  std::vector<double> u;   ///< [n*n][out_c][in_c]
+  std::vector<float> bt;         ///< n x n, row-major
+  std::vector<float> at;         ///< m x n, row-major
+  std::vector<PackedRhsF32> ut;  ///< [n*n] packed U^T[ab]
 
-  [[nodiscard]] const double* plane(int ab) const {
-    return u.data() + static_cast<std::size_t>(ab) * out_c * in_c;
+  /// Resident bytes: transform matrices plus every packed panel.
+  [[nodiscard]] long long footprint_bytes() const {
+    long long total =
+        static_cast<long long>((bt.size() + at.size()) * sizeof(float));
+    for (const PackedRhsF32& p : ut) total += p.footprint_bytes();
+    return total;
   }
 };
 

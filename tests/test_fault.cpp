@@ -199,6 +199,40 @@ TEST_F(PipelineFaultTest, ClearRestoresGoldenConstantsAfterCorruption) {
   EXPECT_EQ(pipe.run(input_), golden);
 }
 
+TEST_F(PipelineFaultTest, WinogradChecksumRecoversStruckFilterPanels) {
+  // Every conv layer on Winograd F(2x2, 3x3): weight-panel SEUs strike the
+  // resident filters the packed U^T panels are transformed from.
+  std::vector<arch::LayerChoice> ch(net_.size() - 1);
+  for (std::size_t i = 0; i < ch.size(); ++i) {
+    if (net_[i + 1].kind == nn::LayerKind::kConv) {
+      ch[i].algo = fpga::ConvAlgo::kWinograd;
+      ch[i].wino_m = 2;
+    }
+  }
+  FusionPipeline pipe(net_, ws_, ch);
+  const nn::Tensor golden = pipe.run(input_);
+
+  FaultPlan p;
+  p.seed = 3;
+  p.weight_panel_flip_rate = 1.0;
+  // Weight CRC off, so only the checksum over the transformed panels stands
+  // between the struck filters and the output.
+  ProtectionConfig only_wino = ProtectionConfig::all_on();
+  only_wino.crc_weights = false;
+  pipe.install_fault_plan(p, only_wino);
+  const nn::Tensor hardened = pipe.run(input_);
+  const auto stats = pipe.fault_stats();
+  EXPECT_GT(stats.detected, 0);
+  EXPECT_EQ(stats.recovered, stats.detected);
+  EXPECT_EQ(hardened, golden);  // re-transformed from the clean filters
+
+  ProtectionConfig none = only_wino;
+  none.wino_checksum = false;
+  pipe.install_fault_plan(p, none);
+  EXPECT_NE(pipe.run(input_), golden);
+  EXPECT_EQ(pipe.fault_stats().detected, 0);
+}
+
 // --------------------------------------------------------------- watchdog --
 TEST_F(PipelineFaultTest, WatchdogNamesTheWedgedStage) {
   FusionPipeline pipe(net_, ws_);

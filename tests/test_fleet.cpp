@@ -841,40 +841,48 @@ TEST_F(PrepackShareTest, CacheScrubsAVirtuallyCorruptedResident) {
 }
 
 TEST_F(PrepackShareTest, CacheCrcCatchesARealBitFlip) {
-  PrepackCache cache(/*share=*/true);
-  const PrepackCache::Builder build = [&] {
-    FusionPipeline p(net_, ws_);
-    return p.shared_prepack();
-  };
-  const auto l1 = cache.acquire("m/r0", build);
-  // Flip one real constant byte in the resident copy (single-threaded:
-  // nothing is streaming the bundle, so the mutation itself is safe).
-  auto* b = const_cast<arch::PrepackBundle*>(l1.bundle.get());
-  bool flipped = false;
-  for (const auto& p : b->packed) {
-    if (p && p->pblocks() > 0 && p->iblocks() > 0 &&
-        !p->block(0, 0).empty()) {
-      const_cast<float&>(p->block(0, 0)[0]) += 1.0f;
-      flipped = true;
-      break;
+  // Once on conventional layers (packed GEMM weight panels), once with every
+  // conv on Winograd (packed transform-domain U^T panels).
+  for (const bool wino : {false, true}) {
+    SCOPED_TRACE(wino ? "winograd" : "conventional");
+    std::vector<arch::LayerChoice> ch(net_.size() - 1);
+    for (std::size_t i = 0; wino && i < ch.size(); ++i) {
+      if (net_[i + 1].kind == nn::LayerKind::kConv) {
+        ch[i].algo = fpga::ConvAlgo::kWinograd;
+      }
     }
-  }
-  if (!flipped) {
-    for (const auto& p : b->wino) {
-      if (p && !p->u.empty()) {
-        const_cast<double&>(p->u[0]) += 1.0;
+    PrepackCache cache(/*share=*/true);
+    const PrepackCache::Builder build = [&] {
+      FusionPipeline p(net_, ws_, ch);
+      return p.shared_prepack();
+    };
+    const auto l1 = cache.acquire("m/r0", build);
+    // Flip one real constant byte in the resident copy (single-threaded:
+    // nothing is streaming the bundle, so the mutation itself is safe).
+    auto* b = const_cast<arch::PrepackBundle*>(l1.bundle.get());
+    bool flipped = false;
+    for (const auto& p : b->packed) {
+      if (p && p->pblocks() > 0 && p->iblocks() > 0 &&
+          !p->block(0, 0).empty()) {
+        const_cast<float&>(p->block(0, 0)[0]) += 1.0f;
         flipped = true;
         break;
       }
     }
-  }
-  ASSERT_TRUE(flipped);
+    for (const auto& p : b->wino) {
+      if (!flipped && p && !p->ut.empty() && !p->ut[0].data().empty()) {
+        const_cast<float&>(p->ut[0].data()[0]) += 1.0f;
+        flipped = true;
+      }
+    }
+    ASSERT_TRUE(flipped);
 
-  const auto l2 = cache.acquire("m/r0", build);
-  EXPECT_TRUE(l2.scrubbed);
-  EXPECT_EQ(cache.stats().scrubs, 1);
-  cache.release(l1);
-  cache.release(l2);
+    const auto l2 = cache.acquire("m/r0", build);
+    EXPECT_TRUE(l2.scrubbed);
+    EXPECT_EQ(cache.stats().scrubs, 1);
+    cache.release(l1);
+    cache.release(l2);
+  }
 }
 
 TEST_F(PrepackShareTest, VerifyOffDisablesTheCrcGuard) {

@@ -20,6 +20,7 @@
 #include "kernels/arena.h"
 #include "kernels/gemm.h"
 #include "kernels/parallel.h"
+#include "kernels/wino_gemm.h"
 #include "nn/model_zoo.h"
 #include "nn/reference.h"
 
@@ -33,6 +34,12 @@ using nn::Tensor;
 /// cannot leak thread settings into each other.
 struct ThreadGuard {
   ~ThreadGuard() { kernels::set_num_threads(1); }
+};
+
+/// Restores default dispatch blocking on scope exit so blocking overrides
+/// cannot leak between tests.
+struct BlockingGuard {
+  ~BlockingGuard() { kernels::clear_tuned_blocking(); }
 };
 
 std::vector<float> random_floats(std::size_t n, std::mt19937& rng) {
@@ -102,6 +109,46 @@ TEST(Gemm, PackedLhsMatchesRawBitwise) {
   EXPECT_EQ(pa.depth(), K);
   kernels::gemm_f32(pa, N, B.data(), N, packed.data(), N, nullptr, false, 1);
   EXPECT_EQ(0, std::memcmp(raw.data(), packed.data(),
+                           raw.size() * sizeof(float)));
+}
+
+TEST(Gemm, PackedRhsMatchesRawBitwise) {
+  ThreadGuard guard;
+  BlockingGuard blocking;
+  std::mt19937 rng(12);
+  // M spans several MR panels and MC blocks, N is off the NR=16 multiple,
+  // K spans two KC steps.
+  const int M = 101, N = 77, K = 300;
+  const auto A = random_floats(std::size_t(M) * K, rng);
+  const auto B = random_floats(std::size_t(K) * N, rng);
+  const auto bias = random_floats(std::size_t(M), rng);
+  std::vector<float> raw(std::size_t(M) * N);
+  kernels::gemm_f32(M, N, K, A.data(), K, B.data(), N, raw.data(), N,
+                    bias.data(), true, 1);
+
+  const kernels::PackedRhsF32 pb(B.data(), K, N, N);
+  EXPECT_EQ(pb.depth(), K);
+  EXPECT_EQ(pb.cols(), N);
+  EXPECT_EQ(pb.nr(), 16);
+  // Retune MC and NC after packing: the pack keeps the blocking it baked,
+  // and neither knob moves any element's accumulation chain.
+  kernels::set_blocking(kernels::Datapath::kF32, {32, 256, 48, 3});
+  for (const int threads : {1, 3}) {
+    std::vector<float> packed(std::size_t(M) * N);
+    kernels::gemm_f32(M, A.data(), K, pb, packed.data(), N, bias.data(), true,
+                      threads);
+    EXPECT_EQ(0, std::memcmp(raw.data(), packed.data(),
+                             raw.size() * sizeof(float)))
+        << "threads=" << threads;
+  }
+  // A pack built under an explicit NC (not a multiple of NR) agrees too.
+  kernels::clear_tuned_blocking();
+  const kernels::PackedRhsF32 pb_nc(B.data(), K, N, N, {96, 256, 40, 0});
+  EXPECT_EQ(pb_nc.nc(), 40);
+  std::vector<float> packed_nc(std::size_t(M) * N);
+  kernels::gemm_f32(M, A.data(), K, pb_nc, packed_nc.data(), N, bias.data(),
+                    true, 1);
+  EXPECT_EQ(0, std::memcmp(raw.data(), packed_nc.data(),
                            raw.size() * sizeof(float)));
 }
 
@@ -229,9 +276,8 @@ TEST(ConvKernels, FixedPathsBitExactAgainstScalarSeed) {
 }
 
 TEST(ConvKernels, PretransformedMatchesOnTheFlyExactly) {
-  // Both run the same packed-plan path, so the results are identical, not
-  // merely close (this pins the invariant the pipeline's filter cache
-  // relies on).
+  // A plan packed once and reused (how the pipeline's filter cache and the
+  // benches run it) gives exactly the bytes of the pack-per-call entry.
   Tensor in(6, 14, 14);
   FilterBank f(5, 6, 3);
   std::vector<float> bias(5);
@@ -239,10 +285,63 @@ TEST(ConvKernels, PretransformedMatchesOnTheFlyExactly) {
   nn::fill_deterministic(f, 2);
   nn::fill_deterministic(bias, 3);
   const algo::WinogradTransform t = algo::winograd_f4x3();
-  const algo::TransformedFilters tf = algo::transform_filters(t, f);
+  const kernels::WinogradPlan plan = algo::pack_winograd_plan(t, f);
   const Tensor a = algo::winograd_conv(t, in, f, bias, 1, true);
-  const Tensor b = algo::winograd_conv_pretransformed(tf, in, bias, 1, true);
-  EXPECT_EQ(0.0f, a.max_abs_diff(b));
+  for (int rep = 0; rep < 2; ++rep) {
+    Tensor b(5, 14, 14);
+    kernels::winograd_conv_f32(plan, in.data(), 14, 14, 1, bias.data(), true,
+                               b.data(), 14, 14, /*threads=*/1);
+    EXPECT_EQ(0.0f, a.max_abs_diff(b)) << "rep " << rep;
+  }
+}
+
+// The f32 strip on its own: out_c and in_c off the 8-lane and 16-wide
+// register multiples, several tiles, and in_c past one KC block, so lane
+// tails, NR tails and the multi-KC writeback all run; bytes must not depend
+// on the thread count, in float mode or in 16-bit output mode.
+TEST(ConvKernels, WinogradStripBytesIndependentOfThreads) {
+  ThreadGuard guard;
+  for (const int m : {2, 4, 6}) {
+    SCOPED_TRACE(::testing::Message() << "F(" << m << ",3)");
+    const int in_c = 261, out_c = 19, H = 11, W = 29;
+    Tensor in(in_c, H, W);
+    FilterBank f(out_c, in_c, 3);
+    std::vector<float> bias(out_c);
+    nn::fill_deterministic(in, 71);
+    nn::fill_deterministic(f, 72);
+    nn::fill_deterministic(bias, 73);
+    const kernels::WinogradPlan plan =
+        algo::pack_winograd_plan(algo::winograd(m, 3), f);
+    const int tiles_w = (W + m - 1) / m, n = plan.n;
+    const int strip_w = (tiles_w - 1) * m + n;
+    std::vector<float> strip(std::size_t(in_c) * n * strip_w, 0.0f);
+    for (int c = 0; c < in_c; ++c) {
+      for (int u = 0; u < n && u < H; ++u) {
+        for (int x = 0; x < W && x < strip_w; ++x) {
+          strip[(std::size_t(c) * n + u) * strip_w + x] = in.at(c, u, x);
+        }
+      }
+    }
+    for (const int out_frac : {-1, 10}) {
+      std::vector<std::vector<float>> got;
+      for (const int threads : {1, 2, 8}) {
+        std::vector<float> out(std::size_t(m) * out_c * W, -1.0f);
+        std::vector<float*> rows(std::size_t(m) * out_c);
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+          rows[i] = out.data() + i * W;
+        }
+        kernels::winograd_strip(plan, strip.data(), strip_w, tiles_w,
+                                rows.data(), m, W, bias.data(), true,
+                                out_frac, threads);
+        got.push_back(std::move(out));
+      }
+      for (std::size_t i = 1; i < got.size(); ++i) {
+        EXPECT_EQ(0, std::memcmp(got[0].data(), got[i].data(),
+                                 got[0].size() * sizeof(float)))
+            << "out_frac=" << out_frac << " run " << i;
+      }
+    }
+  }
 }
 
 TEST(ConvKernels, ThreadCountInvarianceBytewise) {
@@ -388,14 +487,6 @@ TEST(Gemm, SimdMatchesScalarFallbackDoubleAccum) {
                                scalar.data(), N, bias.data(), true, 1);
   for (std::size_t i = 0; i < simd.size(); ++i) {
     EXPECT_NEAR(simd[i], scalar[i], 1e-9) << "f32d i=" << i;
-  }
-  std::vector<double> Ad(A.begin(), A.end()), Bd(B.begin(), B.end());
-  std::vector<double> simd64(std::size_t(M) * N), scalar64(std::size_t(M) * N);
-  kernels::gemm_f64(M, N, K, Ad.data(), K, Bd.data(), N, simd64.data(), N, 1);
-  kernels::fallback::gemm_f64(M, N, K, Ad.data(), K, Bd.data(), N,
-                              scalar64.data(), N, 1);
-  for (std::size_t i = 0; i < simd64.size(); ++i) {
-    EXPECT_NEAR(simd64[i], scalar64[i], 1e-9) << "f64 i=" << i;
   }
 }
 
@@ -574,12 +665,6 @@ TEST(Parallel, ResolveThreadsRespectsHardwareCap) {
 }
 
 // ----------------------------------------------------------- int8 datapath --
-
-/// Restores default dispatch blocking on scope exit so blocking overrides
-/// cannot leak between tests.
-struct BlockingGuard {
-  ~BlockingGuard() { kernels::clear_tuned_blocking(); }
-};
 
 std::vector<std::int8_t> random_i8(std::size_t n, std::mt19937& rng) {
   std::uniform_int_distribution<int> d(-128, 127);
@@ -840,7 +925,7 @@ TEST(Blocking, SanitizePinsFloatKcAndClampsRanges) {
             kernels::blocking_for(kernels::Datapath::kF32).kc);
   EXPECT_EQ(128, kernels::blocking_for(kernels::Datapath::kF32).mc);
   EXPECT_FALSE(kernels::kc_tunable(kernels::Datapath::kF32));
-  EXPECT_FALSE(kernels::kc_tunable(kernels::Datapath::kF64));
+  EXPECT_FALSE(kernels::kc_tunable(kernels::Datapath::kF32d));
 
   // Integer datapaths: exact accumulation commutes, KC tunes freely.
   kernels::set_blocking(kernels::Datapath::kI8, {130, 512, 7, 9999});
@@ -877,6 +962,20 @@ TEST(Blocking, CacheJsonRoundTripsAndIgnoresForeignEntries) {
   }
   EXPECT_EQ(0, kernels::load_tuning_cache_json(foreign));
   EXPECT_EQ(kernels::default_blocking(kernels::Datapath::kI8),
+            kernels::blocking_for(kernels::Datapath::kI8));
+
+  // Entries for a datapath this build does not have (the retired "f64")
+  // are skipped; the rest of the document still applies.
+  kernels::clear_tuned_blocking();
+  std::string retired = json;
+  const std::size_t entries = retired.find("\"entries\": [");
+  ASSERT_NE(std::string::npos, entries);
+  retired.insert(entries + 12,
+                 "\n    {\"datapath\": \"f64\", \"machine\": \"" + me +
+                     "\", \"mc\": 64, \"kc\": 256, \"nc\": 0, "
+                     "\"grain\": 0},");
+  EXPECT_EQ(2, kernels::load_tuning_cache_json(retired));
+  EXPECT_EQ((kernels::BlockingParams{192, 384, 256, 8}),
             kernels::blocking_for(kernels::Datapath::kI8));
 
   // A version bump invalidates the whole document.

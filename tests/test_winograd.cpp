@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "algo/conv_variants.h"
 #include "algo/winograd_conv.h"
 #include "algo/winograd_transform.h"
+#include "kernels/wino_gemm.h"
 #include "nn/reference.h"
 
 namespace hetacc::algo {
@@ -199,10 +203,14 @@ TEST(WinogradConv, PretransformedFiltersMatchOnTheFly) {
   FilterBank f(4, 3, 3);
   nn::fill_deterministic(f, 6);
   const WinogradTransform t = winograd_f4x3();
-  const TransformedFilters tf = transform_filters(t, f);
-  EXPECT_EQ(tf.u.size(), 12u);
+  const kernels::WinogradPlan plan = pack_winograd_plan(t, f);
+  ASSERT_EQ(plan.ut.size(), 36u);  // one packed U^T per tile position
+  EXPECT_EQ(plan.ut[0].depth(), 3);
+  EXPECT_EQ(plan.ut[0].cols(), 4);
   const Tensor a = winograd_conv(t, in, f, {}, 1, false);
-  const Tensor b = winograd_conv_pretransformed(tf, in, {}, 1, false);
+  Tensor b(4, 12, 12);
+  kernels::winograd_conv_f32(plan, in.data(), 12, 12, 1, nullptr, false,
+                             b.data(), 12, 12, /*threads=*/1);
   EXPECT_EQ(a.max_abs_diff(b), 0.0f);
 }
 
@@ -210,6 +218,42 @@ TEST(WinogradConv, KernelMismatchThrows) {
   FilterBank f(1, 1, 5);
   EXPECT_THROW((void)transform_filters(winograd_f4x3(), f),
                std::invalid_argument);
+  EXPECT_THROW((void)pack_winograd_plan(winograd_f4x3(), f),
+               std::invalid_argument);
+}
+
+// The f32 datapath (f32 transforms, f32 packed U^T, f32 GEMM) against the
+// double per-tile seed. Inputs and filters lie in [-1, 1]; the bound per
+// tile size is relative to the output's largest magnitude and grows with
+// the transform's dynamic range: F(2,3) and F(4,3) use the canned integer
+// transforms, F(6,3) and F(4,5) Cook-Toom points out to +-2 and +-1/2.
+TEST(WinogradConv, F32StripTracksTheDoubleOracle) {
+  struct Tile {
+    int m, r;
+    double bound;
+  };
+  for (const Tile& tile : {Tile{2, 3, 2e-6}, Tile{4, 3, 1e-5},
+                           Tile{6, 3, 3e-5}, Tile{4, 5, 2e-5}}) {
+    SCOPED_TRACE(::testing::Message() << "F(" << tile.m << "," << tile.r
+                                      << ")");
+    const int pad = tile.r / 2;
+    Tensor in(48, 19, 23);
+    nn::fill_deterministic(in, 11);
+    FilterBank f(40, 48, tile.r);
+    nn::fill_deterministic(f, 12);
+    std::vector<float> bias(40);
+    nn::fill_deterministic(bias, 13);
+    const WinogradTransform t = winograd(tile.m, tile.r);
+    const Tensor oracle = winograd_conv_pretransformed_scalar(
+        transform_filters(t, f), in, bias, pad, false);
+    const Tensor f32 = winograd_conv(t, in, f, bias, pad, false);
+    ASSERT_EQ(f32.shape(), oracle.shape());
+    float peak = 0.0f;
+    for (float v : oracle.vec()) peak = std::max(peak, std::abs(v));
+    const double rel = f32.max_abs_diff(oracle) / peak;
+    EXPECT_LE(rel, tile.bound);
+    EXPECT_GT(rel, 0.0);  // really a different datapath, not the oracle
+  }
 }
 
 TEST(WinogradConv, FixedPointTracksFloat) {
