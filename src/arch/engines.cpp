@@ -148,7 +148,6 @@ class ConvDirectEngine final : public RowWindowBase {
           w.filters.data(), layer.out.c, kk, kk);
     }
     patch_.resize(static_cast<std::size_t>(kk) * layer.out.w);
-    acc_.resize(static_cast<std::size_t>(layer.out.c) * layer.out.w);
   }
 
  private:
@@ -209,21 +208,17 @@ class ConvDirectEngine final : public RowWindowBase {
       return r;
     }
 
-    // One GEMM per output row; the MAC tree accumulates in double, exactly
-    // like the seed's per-pixel loop nest.
-    kernels::gemm_f32d(*packed_, ow, patch_.data(), ow, acc_.data(), ow,
-                       bias_.empty() ? nullptr : bias_.data(),
-                       /*relu=*/false, /*threads=*/0);
-
+    // One GEMM per output row, straight into the row: the same packed f32
+    // datapath and pinned KC as the whole-tensor reference, and per-element
+    // accumulation order does not depend on N, so float mode reproduces
+    // nn::run_network byte for byte.
     Row r;
     r.data.resize(static_cast<std::size_t>(layer_.out.c) * ow);
-    for (int n = 0; n < layer_.out.c; ++n) {
-      for (int j = 0; j < ow; ++j) {
-        float val = static_cast<float>(acc_[static_cast<std::size_t>(n) * ow + j]);
-        if (cp.fused_relu) val = std::max(val, 0.0f);
-        r.data[static_cast<std::size_t>(n) * ow + j] =
-            maybe_quantize(val, mode_.out_frac);
-      }
+    kernels::gemm_f32(*packed_, ow, patch_.data(), ow, r.data.data(), ow,
+                      bias_.empty() ? nullptr : bias_.data(), cp.fused_relu,
+                      /*threads=*/0);
+    if (mode_.fixed()) {
+      for (float& x : r.data) x = fixed::quantize_to_float(x, mode_.out_frac);
     }
     return r;
   }
@@ -232,7 +227,6 @@ class ConvDirectEngine final : public RowWindowBase {
   std::shared_ptr<const kernels::PackedLhsF32> packed_;
   std::shared_ptr<const Int8ConvConstants> i8c_;
   std::vector<float> patch_;
-  std::vector<double> acc_;
   std::vector<std::int8_t> patch8_;
   std::vector<std::int8_t> out8_;
 };
@@ -346,7 +340,8 @@ class WinogradEngine final : public RowWindowBase {
 class PoolEngine final : public RowWindowBase {
  public:
   PoolEngine(const nn::Layer& layer, NumericMode mode)
-      : RowWindowBase(layer, layer.pool().kernel + layer.pool().stride, mode) {}
+      : RowWindowBase(layer, layer.pool().kernel + layer.pool().stride, mode),
+        rows_(static_cast<std::size_t>(layer.pool().kernel)) {}
 
  private:
   [[nodiscard]] bool window_ready() const override {
@@ -361,38 +356,44 @@ class PoolEngine final : public RowWindowBase {
 
   [[nodiscard]] Row emit_row() override {
     const auto& pp = layer_.pool();
-    const long long top = static_cast<long long>(rows_emitted_) * pp.stride;
+    const int k = pp.kernel, s = pp.stride;
+    const int ow = layer_.out.w;
+    const long long top = static_cast<long long>(rows_emitted_) * s;
+    // Window rows that hold real input (padding and Caffe's ceil overhang
+    // are skipped, exactly like pool_reference).
+    const int u0 = static_cast<int>(std::max<long long>(0, pad_ - top));
+    const int u1 = static_cast<int>(
+        std::min<long long>(k, pad_ + layer_.in.h - top));
     Row r;
-    r.data.resize(static_cast<std::size_t>(layer_.out.c) * layer_.out.w);
+    r.data.resize(static_cast<std::size_t>(layer_.out.c) * ow);
     for (int c = 0; c < layer_.in.c; ++c) {
-      for (int j = 0; j < layer_.out.w; ++j) {
+      for (int u = u0; u < u1; ++u) rows_[u] = lb_.row_ptr(c, top + u);
+      float* dst = r.data.data() + static_cast<std::size_t>(c) * ow;
+      for (int j = 0; j < ow; ++j) {
+        // Columns of this window that hold real input: v in [v0, v1).
+        const int v0 = std::max(0, pad_ - j * s);
+        const int v1 = std::min(k, pad_ + layer_.in.w - j * s);
         float best = -std::numeric_limits<float>::infinity();
         float sum = 0.0f;
-        int count = 0;
-        for (int u = 0; u < pp.kernel; ++u) {
-          const long long hp = top + u;
-          const long long h = hp - pad_;  // real input row
-          if (h < 0 || h >= layer_.in.h) continue;
-          for (int v = 0; v < pp.kernel; ++v) {
-            const int wp = j * pp.stride + v;
-            const int w = wp - pad_;
-            if (w < 0 || w >= layer_.in.w) continue;
-            const float x = lb_.at(c, hp, wp);
-            best = std::max(best, x);
-            sum += x;
-            ++count;
+        for (int u = u0; u < u1; ++u) {
+          const float* src = rows_[u] + j * s;
+          for (int v = v0; v < v1; ++v) {
+            best = std::max(best, src[v]);
+            sum += src[v];
           }
         }
+        const int count = std::max(0, u1 - u0) * std::max(0, v1 - v0);
         const float val =
             (pp.method == nn::PoolMethod::kMax)
                 ? best
                 : (count ? sum / static_cast<float>(count) : 0.0f);
-        r.data[static_cast<std::size_t>(c) * layer_.out.w + j] =
-            quantize_mode_out(mode_, val);
+        dst[j] = quantize_mode_out(mode_, val);
       }
     }
     return r;
   }
+
+  std::vector<const float*> rows_;  ///< window row pointers of one channel
 };
 
 // --------------------------------------------------------------------------
@@ -414,24 +415,31 @@ class LrnEngine final : public StreamEngine {
     const auto& p = layer_.lrn();
     const int C = layer_.in.c, W = layer_.in.w;
     const int half = p.local_size / 2;
+    const float scale = p.alpha / static_cast<float>(p.local_size);
+    const std::size_t n = r.data.size();
+    // Each input is quantized and squared once per row, not once per window
+    // member; summation stays ascending in cc, so the bytes match
+    // lrn_reference. The scratch is per call, not per engine: a fleet holds
+    // many pipelines, and member buffers would stay resident.
+    std::vector<float> x(n), sq(n), ss(static_cast<std::size_t>(W));
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] = quantize_mode_in(mode_, r.data[i]);
+      sq[i] = x[i] * x[i];
+    }
     Row o;
-    o.data.resize(r.data.size());
+    o.data.resize(n);
     for (int c = 0; c < C; ++c) {
       const int lo = std::max(0, c - half);
       const int hi = std::min(C - 1, c + half);
+      std::fill(ss.begin(), ss.end(), 0.0f);
+      for (int cc = lo; cc <= hi; ++cc) {
+        const float* sqc = sq.data() + static_cast<std::size_t>(cc) * W;
+        for (int w = 0; w < W; ++w) ss[w] += sqc[w];
+      }
+      const std::size_t row = static_cast<std::size_t>(c) * W;
       for (int w = 0; w < W; ++w) {
-        float ss = 0.0f;
-        for (int cc = lo; cc <= hi; ++cc) {
-          const float x = quantize_mode_in(
-              mode_, r.data[static_cast<std::size_t>(cc) * W + w]);
-          ss += x * x;
-        }
-        const float denom = std::pow(
-            p.k + p.alpha / static_cast<float>(p.local_size) * ss, p.beta);
-        const float x = quantize_mode_in(
-            mode_, r.data[static_cast<std::size_t>(c) * W + w]);
-        o.data[static_cast<std::size_t>(c) * W + w] =
-            quantize_mode_out(mode_, x / denom);
+        const float denom = std::pow(p.k + scale * ss[w], p.beta);
+        o.data[row + w] = quantize_mode_out(mode_, x[row + w] / denom);
       }
     }
     out.push(std::move(o));

@@ -41,7 +41,6 @@ struct Workload {
   std::vector<std::int16_t> a16, b16;
   std::vector<std::int8_t> a8, b8;
   std::vector<float> cf;
-  std::vector<double> cd;
   std::vector<std::int64_t> c64;
   std::vector<std::int32_t> c32;
   std::vector<std::int8_t> c8;
@@ -53,16 +52,11 @@ struct Workload {
     const std::size_t mn = static_cast<std::size_t>(M) * N;
     switch (dp) {
       case Datapath::kF32:
-      case Datapath::kF32d:
         af.resize(mk);
         bf.resize(kn);
         fill_pattern(af);
         fill_pattern(bf);
-        if (dp == Datapath::kF32) {
-          cf.resize(mn);
-        } else {
-          cd.resize(mn);
-        }
+        cf.resize(mn);
         break;
       case Datapath::kI16:
         a16.resize(mk);
@@ -87,10 +81,6 @@ struct Workload {
       case Datapath::kF32:
         gemm_f32(M, N, K, af.data(), K, bf.data(), N, cf.data(), N, nullptr,
                  false, threads);
-        break;
-      case Datapath::kF32d:
-        gemm_f32d(M, N, K, af.data(), K, bf.data(), N, cd.data(), N, nullptr,
-                  false, threads);
         break;
       case Datapath::kI16:
         gemm_i16(M, N, K, a16.data(), K, b16.data(), N, c64.data(), N,

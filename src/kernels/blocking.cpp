@@ -25,7 +25,7 @@ Registry& registry() {
   return r;
 }
 
-constexpr const char* kNames[kNumDatapaths] = {"f32", "f32d", "i16", "i8"};
+constexpr const char* kNames[kNumDatapaths] = {"f32", "i16", "i8"};
 
 /// Clamp a candidate into the ranges the driver's packing logic supports.
 /// MC stays a multiple of MR (4) so packed A blocks hold whole panels.

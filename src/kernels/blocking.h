@@ -16,8 +16,8 @@
 namespace hetacc::kernels {
 
 /// The GEMM datapaths that dispatch through blocking_for().
-enum class Datapath : int { kF32 = 0, kF32d, kI16, kI8 };
-inline constexpr int kNumDatapaths = 4;
+enum class Datapath : int { kF32 = 0, kI16, kI8 };
+inline constexpr int kNumDatapaths = 3;
 
 [[nodiscard]] const char* datapath_name(Datapath dp);
 /// Inverse of datapath_name; returns false on unknown names.

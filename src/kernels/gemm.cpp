@@ -67,9 +67,7 @@ void micro_scalar(int kb, const TA* a, const TA* b, TAcc* acc) {
 #pragma GCC diagnostic ignored "-Wpsabi"
 #endif
 
-typedef float vf4 __attribute__((vector_size(16)));
 typedef float vf8 __attribute__((vector_size(32)));
-typedef double vd4 __attribute__((vector_size(32)));
 typedef std::int8_t vb8 __attribute__((vector_size(8)));
 typedef std::int16_t vs8 __attribute__((vector_size(16)));
 typedef std::int32_t vi8 __attribute__((vector_size(32)));
@@ -136,26 +134,6 @@ struct MK<float, float> {
     (void)simd;
 #endif
     return &micro_scalar<float, float, NR>;
-  }
-};
-
-template <>
-struct MK<float, double> {
-  static constexpr int NR = 8;
-  static constexpr Datapath dp = Datapath::kF32d;
-  using Fn = void (*)(int, const float*, const float*, double*);
-  static Fn pick(bool simd) {
-#ifdef HETACC_VEC
-    if (simd) {
-#ifdef HETACC_X86_DISPATCH
-      if (cpu_has_avx2_fma()) return &micro_f32d_avx2;
-#endif
-      return &micro_f32d_base;
-    }
-#else
-    (void)simd;
-#endif
-    return &micro_scalar<float, double, NR>;
   }
 };
 
@@ -460,9 +438,8 @@ void gemm_run(int M, int N, int K, const TA* A, int lda,
 namespace {
 
 /// Datapath whose blocking a PackedLhsT<T> built without an explicit
-/// BlockingParams should bake: the pack layout is per element type, shared
-/// by every datapath consuming that type (f32 and f32d read the same float
-/// pack, and float KC is pinned, so their blocking agrees by construction).
+/// BlockingParams should bake: the one datapath consuming that element
+/// type.
 template <typename T>
 constexpr Datapath pack_datapath();
 template <>
@@ -563,22 +540,6 @@ void gemm_f32(int M, const float* A, int lda, const PackedRhsF32& B, float* C,
       threads, true, blocking_for(Datapath::kF32), nullptr, &B);
 }
 
-void gemm_f32d(int M, int N, int K, const float* A, int lda, const float* B,
-               int ldb, double* C, int ldc, const float* bias, bool relu,
-               int threads) {
-  gemm_run<float, double, double, float>(M, N, K, A, lda, nullptr, B, ldb, C,
-                                         ldc, bias, relu, threads, true,
-                                         blocking_for(Datapath::kF32d));
-}
-
-void gemm_f32d(const PackedLhsF32& A, int N, const float* B, int ldb,
-               double* C, int ldc, const float* bias, bool relu, int threads) {
-  gemm_run<float, double, double, float>(A.rows(), N, A.depth(), nullptr, 0,
-                                         &A, B, ldb, C, ldc, bias, relu,
-                                         threads, true,
-                                         blocking_for(Datapath::kF32d));
-}
-
 void gemm_i16(int M, int N, int K, const std::int16_t* A, int lda,
               const std::int16_t* B, int ldb, std::int64_t* C, int ldc,
               int threads) {
@@ -642,14 +603,6 @@ void gemm_f32(int M, int N, int K, const float* A, int lda, const float* B,
   gemm_run<float, float, float, float>(M, N, K, A, lda, nullptr, B, ldb, C,
                                        ldc, bias, relu, threads, false,
                                        blocking_for(Datapath::kF32));
-}
-
-void gemm_f32d(int M, int N, int K, const float* A, int lda, const float* B,
-               int ldb, double* C, int ldc, const float* bias, bool relu,
-               int threads) {
-  gemm_run<float, double, double, float>(M, N, K, A, lda, nullptr, B, ldb, C,
-                                         ldc, bias, relu, threads, false,
-                                         blocking_for(Datapath::kF32d));
 }
 
 void gemm_i16(int M, int N, int K, const std::int16_t* A, int lda,

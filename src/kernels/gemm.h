@@ -140,14 +140,6 @@ void gemm_f32(const PackedLhsF32& A, int N, const float* B, int ldb, float* C,
 void gemm_f32(int M, const float* A, int lda, const PackedRhsF32& B, float* C,
               int ldc, const float* bias, bool relu, int threads);
 
-/// Float operands, double accumulation, double C — the conv-engine datapath
-/// (the streaming engines accumulate MACs in double; see arch/engines.cpp).
-void gemm_f32d(int M, int N, int K, const float* A, int lda, const float* B,
-               int ldb, double* C, int ldc, const float* bias, bool relu,
-               int threads);
-void gemm_f32d(const PackedLhsF32& A, int N, const float* B, int ldb,
-               double* C, int ldc, const float* bias, bool relu, int threads);
-
 /// int16 x int16 -> exact int64 accumulation (DSP MAC-tree model; integer
 /// addition commutes, so any restructuring is bit-exact). C is overwritten.
 void gemm_i16(int M, int N, int K, const std::int16_t* A, int lda,
@@ -228,9 +220,6 @@ namespace fallback {
 void gemm_f32(int M, int N, int K, const float* A, int lda, const float* B,
               int ldb, float* C, int ldc, const float* bias, bool relu,
               int threads);
-void gemm_f32d(int M, int N, int K, const float* A, int lda, const float* B,
-               int ldb, double* C, int ldc, const float* bias, bool relu,
-               int threads);
 void gemm_i16(int M, int N, int K, const std::int16_t* A, int lda,
               const std::int16_t* B, int ldb, std::int64_t* C, int ldc,
               int threads);

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "arch/line_buffer.h"
 #include "arch/pipeline.h"
 #include "core/strategy.h"
+#include "kernels/parallel.h"
 #include "nn/model_zoo.h"
 #include "nn/reference.h"
 
@@ -162,6 +165,52 @@ TEST(Pipeline, StandaloneRelu) {
   net.input({4, 5, 5});
   net.relu("r1");
   expect_pipeline_matches_reference(net, {}, 0.0f);
+}
+
+TEST(Pipeline, FloatEnginesMatchReferenceBytewise) {
+  // The float conventional-conv, pool and LRN engines run the reference's
+  // own arithmetic (conv: the packed f32 GEMM with the pinned KC, whose
+  // per-element accumulation order does not depend on N), so a one-layer
+  // pipeline reproduces nn::run_network byte for byte at any thread count.
+  std::vector<Network> nets;
+  nets.emplace_back("conv1");
+  nets.back().input({3, 35, 35});
+  nets.back().conv(8, 11, 4, 0, "c1");  // AlexNet conv1 geometry, scaled down
+  nets.emplace_back("conv3x3");
+  nets.back().input({4, 13, 13});
+  nets.back().conv(6, 3, 1, 1, "c1", /*fused_relu=*/false);
+  nets.emplace_back("deep");
+  nets.back().input({32, 9, 21});
+  nets.back().conv(5, 3, 1, 1, "c1");  // in_c * k^2 = 288 > KC
+  nets.emplace_back("maxpool");
+  nets.back().input({3, 8, 8});
+  nets.back().max_pool(3, 2, "p1");  // Caffe ceil: last window overhangs
+  nets.emplace_back("avgpool");
+  nets.back().input({3, 9, 9});
+  nets.back().avg_pool(3, 2, "p1", /*pad=*/1);
+  nets.emplace_back("lrn");
+  nets.back().input({8, 6, 7});
+  nets.back().lrn(5, 1e-4f, 0.75f, "l1");
+
+  const int saved = kernels::num_threads();
+  for (const Network& net : nets) {
+    const WeightStore ws = WeightStore::deterministic(net, 29);
+    Tensor in(net[0].out);
+    nn::fill_deterministic(in, 30);
+    for (int threads : {1, 3}) {
+      kernels::set_num_threads(threads);
+      const Tensor ref = nn::run_network(net, ws, in);
+      FusionPipeline pipe(net, ws);
+      const Tensor got = pipe.run(in);
+      ASSERT_EQ(got.shape(), ref.shape()) << net.name();
+      EXPECT_EQ(0, std::memcmp(got.data(), ref.data(),
+                               static_cast<std::size_t>(ref.size()) *
+                                   sizeof(float)))
+          << net.name() << " threads=" << threads
+          << " max diff=" << got.max_abs_diff(ref);
+    }
+  }
+  kernels::set_num_threads(saved);
 }
 
 TEST(Pipeline, FusedConvPoolConv) {

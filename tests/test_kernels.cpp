@@ -474,22 +474,6 @@ TEST(Gemm, SimdMatchesScalarFallbackF32) {
   }
 }
 
-TEST(Gemm, SimdMatchesScalarFallbackDoubleAccum) {
-  std::mt19937 rng(103);
-  const int M = 70, N = 90, K = 300;
-  const auto A = random_floats(std::size_t(M) * K, rng);
-  const auto B = random_floats(std::size_t(K) * N, rng);
-  const auto bias = random_floats(std::size_t(M), rng);
-  std::vector<double> simd(std::size_t(M) * N), scalar(std::size_t(M) * N);
-  kernels::gemm_f32d(M, N, K, A.data(), K, B.data(), N, simd.data(), N,
-                     bias.data(), true, 1);
-  kernels::fallback::gemm_f32d(M, N, K, A.data(), K, B.data(), N,
-                               scalar.data(), N, bias.data(), true, 1);
-  for (std::size_t i = 0; i < simd.size(); ++i) {
-    EXPECT_NEAR(simd[i], scalar[i], 1e-9) << "f32d i=" << i;
-  }
-}
-
 TEST(Gemm, SimdBitExactAgainstScalarFallbackI16) {
   std::mt19937 rng(107);
   std::uniform_int_distribution<int> d(-2000, 2000);
@@ -925,7 +909,6 @@ TEST(Blocking, SanitizePinsFloatKcAndClampsRanges) {
             kernels::blocking_for(kernels::Datapath::kF32).kc);
   EXPECT_EQ(128, kernels::blocking_for(kernels::Datapath::kF32).mc);
   EXPECT_FALSE(kernels::kc_tunable(kernels::Datapath::kF32));
-  EXPECT_FALSE(kernels::kc_tunable(kernels::Datapath::kF32d));
 
   // Integer datapaths: exact accumulation commutes, KC tunes freely.
   kernels::set_blocking(kernels::Datapath::kI8, {130, 512, 7, 9999});
@@ -964,16 +947,18 @@ TEST(Blocking, CacheJsonRoundTripsAndIgnoresForeignEntries) {
   EXPECT_EQ(kernels::default_blocking(kernels::Datapath::kI8),
             kernels::blocking_for(kernels::Datapath::kI8));
 
-  // Entries for a datapath this build does not have (the retired "f64")
-  // are skipped; the rest of the document still applies.
+  // Entries for datapaths this build does not have (the retired "f64" and
+  // "f32d") are skipped; the rest of the document still applies.
   kernels::clear_tuned_blocking();
   std::string retired = json;
   const std::size_t entries = retired.find("\"entries\": [");
   ASSERT_NE(std::string::npos, entries);
-  retired.insert(entries + 12,
-                 "\n    {\"datapath\": \"f64\", \"machine\": \"" + me +
-                     "\", \"mc\": 64, \"kc\": 256, \"nc\": 0, "
-                     "\"grain\": 0},");
+  for (const char* gone : {"f64", "f32d"}) {
+    retired.insert(entries + 12, std::string("\n    {\"datapath\": \"") +
+                                     gone + "\", \"machine\": \"" + me +
+                                     "\", \"mc\": 64, \"kc\": 256, "
+                                     "\"nc\": 0, \"grain\": 0},");
+  }
   EXPECT_EQ(2, kernels::load_tuning_cache_json(retired));
   EXPECT_EQ((kernels::BlockingParams{192, 384, 256, 8}),
             kernels::blocking_for(kernels::Datapath::kI8));
