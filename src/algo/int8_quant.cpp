@@ -15,7 +15,7 @@ ActQuant choose_act_quant(float mn, float mx) {
   // Nudge the zero-point so real 0.0 maps to an exact integer code.
   const double zp = -128.0 - static_cast<double>(mn) / aq.scale;
   aq.zp = static_cast<std::int32_t>(
-      std::clamp(std::llrint(zp), -128ll, 127ll));
+      std::clamp(fixed::rint_sat(zp), -128ll, 127ll));
   return aq;
 }
 
@@ -65,8 +65,8 @@ std::vector<std::int8_t> quantize_filters_i8(const nn::FilterBank& filters,
     const float* src = filters.data() + static_cast<std::size_t>(n) * rows;
     std::int8_t* dst = wq.data() + static_cast<std::size_t>(n) * rows;
     for (std::size_t j = 0; j < rows; ++j) {
-      long long v = std::llrint(static_cast<double>(src[j]) /
-                                static_cast<double>(sc));
+      long long v = fixed::rint_sat(static_cast<double>(src[j]) /
+                                    static_cast<double>(sc));
       v = std::clamp(v, -127ll, 127ll);  // symmetric: -128 unused
       dst[j] = static_cast<std::int8_t>(v);
     }
@@ -87,8 +87,8 @@ std::vector<std::int32_t> fold_bias_i8(const std::vector<float>& bias,
         static_cast<double>(q.in_scale) * static_cast<double>(wsc);
     long long b = 0;
     if (n < static_cast<int>(bias.size())) {
-      b = std::llrint(static_cast<double>(bias[static_cast<std::size_t>(n)]) /
-                      acc_scale);
+      b = fixed::rint_sat(
+          static_cast<double>(bias[static_cast<std::size_t>(n)]) / acc_scale);
     }
     std::int64_t wsum = 0;
     const std::int8_t* w = wq + static_cast<std::size_t>(n) * rows;

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "fixed/fixed16.h"
 #include "nn/tensor.h"
 
 namespace hetacc::algo {
@@ -27,11 +28,12 @@ struct ActQuant {
 /// zero-point. Degenerate ranges get scale 1, zp 0.
 [[nodiscard]] ActQuant choose_act_quant(float mn, float mx);
 
-/// Real -> i8 code on an activation grid (RNE via llrint, saturating).
+/// Real -> i8 code on an activation grid (round half to even, saturating;
+/// NaN -> -128, see fixed::rint_sat).
 [[nodiscard]] inline std::int8_t quantize_act_i8(float v, float scale,
                                                  std::int32_t zp) {
-  long long q = std::llrint(static_cast<double>(v) /
-                            static_cast<double>(scale)) +
+  long long q = fixed::rint_sat(static_cast<double>(v) /
+                                static_cast<double>(scale)) +
                 zp;
   if (q < -128) q = -128;
   if (q > 127) q = 127;

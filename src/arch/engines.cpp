@@ -11,29 +11,35 @@ namespace hetacc::arch {
 
 namespace {
 
-float maybe_quantize(float v, int frac) {
-  return frac >= 0 ? fixed::quantize_to_float(v, frac) : v;
+/// Snaps n values onto one activation grid (`src` may equal `dst`): the i8
+/// code grid when `i8` (a round trip through the code, so buffered floats
+/// are exactly representable and later re-quantization recovers the same
+/// code), the Q(frac) grid when frac >= 0, identity otherwise. The grid is
+/// picked once per call, never per value.
+void snap_row(bool i8, int frac, float scale, std::int32_t zp,
+              const float* src, float* dst, std::size_t n) {
+  if (i8) {
+    for (std::size_t i = 0; i < n; ++i) {
+      dst[i] = algo::dequantize_act_i8(
+          algo::quantize_act_i8(src[i], scale, zp), scale, zp);
+    }
+  } else if (frac >= 0) {
+    fixed::quantize_row(src, dst, n, frac);
+  } else if (src != dst) {
+    std::copy(src, src + n, dst);
+  }
 }
 
-/// Snap a value onto the mode's input grid: the i8 activation grid in int8
-/// mode (round-trip through the code so buffered floats are exactly
-/// representable and later re-quantization recovers the same code), the
-/// Q(in_frac) grid in fixed mode, identity in float mode.
-float quantize_mode_in(const NumericMode& m, float v) {
-  if (m.int8()) {
-    return algo::dequantize_act_i8(
-        algo::quantize_act_i8(v, m.in_scale, m.in_zp), m.in_scale, m.in_zp);
-  }
-  return maybe_quantize(v, m.in_frac);
+/// Snaps a row onto the mode's input grid.
+void snap_in(const NumericMode& m, const float* src, float* dst,
+             std::size_t n) {
+  snap_row(m.int8(), m.in_frac, m.in_scale, m.in_zp, src, dst, n);
 }
 
-float quantize_mode_out(const NumericMode& m, float v) {
-  if (m.int8()) {
-    return algo::dequantize_act_i8(
-        algo::quantize_act_i8(v, m.out_scale, m.out_zp), m.out_scale,
-        m.out_zp);
-  }
-  return maybe_quantize(v, m.out_frac);
+/// Snaps a row onto the mode's output grid.
+void snap_out(const NumericMode& m, const float* src, float* dst,
+              std::size_t n) {
+  snap_row(m.int8(), m.out_frac, m.out_scale, m.out_zp, src, dst, n);
 }
 
 /// Common row-ingestion machinery: presents the input as a padded stream of
@@ -99,12 +105,9 @@ class RowWindowBase : public StreamEngine {
     std::vector<float> padded(
         static_cast<std::size_t>(layer_.in.c) * padded_w_, 0.0f);
     for (int c = 0; c < layer_.in.c; ++c) {
-      for (int w = 0; w < layer_.in.w; ++w) {
-        padded[static_cast<std::size_t>(c) * padded_w_ + pad_ + w] =
-            quantize_mode_in(
-                mode_,
-                r.data[static_cast<std::size_t>(c) * layer_.in.w + w]);
-      }
+      snap_in(mode_, r.data.data() + static_cast<std::size_t>(c) * layer_.in.w,
+              padded.data() + static_cast<std::size_t>(c) * padded_w_ + pad_,
+              static_cast<std::size_t>(layer_.in.w));
     }
     lb_.push_row(padded);
     return true;
@@ -217,9 +220,7 @@ class ConvDirectEngine final : public RowWindowBase {
     kernels::gemm_f32(*packed_, ow, patch_.data(), ow, r.data.data(), ow,
                       bias_.empty() ? nullptr : bias_.data(), cp.fused_relu,
                       /*threads=*/0);
-    if (mode_.fixed()) {
-      for (float& x : r.data) x = fixed::quantize_to_float(x, mode_.out_frac);
-    }
+    snap_out(mode_, r.data.data(), r.data.data(), r.data.size());
     return r;
   }
 
@@ -387,9 +388,10 @@ class PoolEngine final : public RowWindowBase {
             (pp.method == nn::PoolMethod::kMax)
                 ? best
                 : (count ? sum / static_cast<float>(count) : 0.0f);
-        dst[j] = quantize_mode_out(mode_, val);
+        dst[j] = val;
       }
     }
+    snap_out(mode_, r.data.data(), r.data.data(), r.data.size());
     return r;
   }
 
@@ -422,10 +424,8 @@ class LrnEngine final : public StreamEngine {
     // lrn_reference. The scratch is per call, not per engine: a fleet holds
     // many pipelines, and member buffers would stay resident.
     std::vector<float> x(n), sq(n), ss(static_cast<std::size_t>(W));
-    for (std::size_t i = 0; i < n; ++i) {
-      x[i] = quantize_mode_in(mode_, r.data[i]);
-      sq[i] = x[i] * x[i];
-    }
+    snap_in(mode_, r.data.data(), x.data(), n);
+    for (std::size_t i = 0; i < n; ++i) sq[i] = x[i] * x[i];
     Row o;
     o.data.resize(n);
     for (int c = 0; c < C; ++c) {
@@ -439,9 +439,10 @@ class LrnEngine final : public StreamEngine {
       const std::size_t row = static_cast<std::size_t>(c) * W;
       for (int w = 0; w < W; ++w) {
         const float denom = std::pow(p.k + scale * ss[w], p.beta);
-        o.data[row + w] = quantize_mode_out(mode_, x[row + w] / denom);
+        o.data[row + w] = x[row + w] / denom;
       }
     }
+    snap_out(mode_, o.data.data(), o.data.data(), n);
     out.push(std::move(o));
     ++rows_emitted_;
     return true;
@@ -469,9 +470,8 @@ class ReluEngine final : public StreamEngine {
   bool step(RowFifo& in, RowFifo& out) override {
     if (done() || in.empty() || out.full()) return false;
     Row r = in.pop();
-    for (auto& x : r.data) {
-      x = quantize_mode_out(mode_, std::max(x, 0.0f));
-    }
+    for (auto& x : r.data) x = std::max(x, 0.0f);
+    snap_out(mode_, r.data.data(), r.data.data(), r.data.size());
     out.push(std::move(r));
     ++rows_emitted_;
     return true;

@@ -35,6 +35,28 @@ std::uint32_t wino_plan_crc(const kernels::WinogradPlan& p,
   return crc;
 }
 
+/// Input row h of `t` as a stream row: one copy per channel row.
+Row gather_row(const nn::Tensor& t, int h) {
+  const nn::Shape& s = t.shape();
+  Row r;
+  r.data.resize(static_cast<std::size_t>(s.c) * s.w);
+  for (int c = 0; c < s.c; ++c) {
+    const float* src = t.row_ptr(c, h);
+    std::copy(src, src + s.w,
+              r.data.data() + static_cast<std::size_t>(c) * s.w);
+  }
+  return r;
+}
+
+/// Stores stream row `r` as row h of `t`: one copy per channel row.
+void scatter_row(const Row& r, nn::Tensor& t, int h) {
+  const int w = t.shape().w;
+  for (int c = 0; c < t.shape().c; ++c) {
+    const float* src = r.data.data() + static_cast<std::size_t>(c) * w;
+    std::copy(src, src + w, t.row_ptr(c, h));
+  }
+}
+
 }  // namespace
 
 long long PrepackBundle::resident_bytes() const {
@@ -346,16 +368,7 @@ nn::Tensor FusionPipeline::run_with(
     }
     const bool can_feed = fed_rows < input.shape().h && !fifos[0].full();
     if (can_feed) {
-      Row r;
-      r.data.resize(static_cast<std::size_t>(input.shape().c) *
-                    input.shape().w);
-      for (int c = 0; c < input.shape().c; ++c) {
-        for (int w = 0; w < input.shape().w; ++w) {
-          r.data[static_cast<std::size_t>(c) * input.shape().w + w] =
-              input.at(c, fed_rows, w);
-        }
-      }
-      fifos[0].push(std::move(r));
+      fifos[0].push(gather_row(input, fed_rows));
       ++fed_rows;
     }
 
@@ -374,12 +387,7 @@ nn::Tensor FusionPipeline::run_with(
         if (out_rows >= out_shape.h) {
           throw std::runtime_error("pipeline produced too many rows");
         }
-        for (int c = 0; c < out_shape.c; ++c) {
-          for (int w = 0; w < out_shape.w; ++w) {
-            out.at(c, out_rows, w) =
-                r.data[static_cast<std::size_t>(c) * out_shape.w + w];
-          }
-        }
+        scatter_row(r, out, out_rows);
         ++out_rows;
         progressed = true;
       }
@@ -477,16 +485,7 @@ nn::Tensor FusionPipeline::stream_layer(StreamEngine& eng,
     }
     const bool can_feed = fed_rows < input.shape().h && !in_fifo.full();
     if (can_feed) {
-      Row r;
-      r.data.resize(static_cast<std::size_t>(input.shape().c) *
-                    input.shape().w);
-      for (int c = 0; c < input.shape().c; ++c) {
-        for (int w = 0; w < input.shape().w; ++w) {
-          r.data[static_cast<std::size_t>(c) * input.shape().w + w] =
-              input.at(c, fed_rows, w);
-        }
-      }
-      in_fifo.push(std::move(r));
+      in_fifo.push(gather_row(input, fed_rows));
       ++fed_rows;
     }
 
@@ -502,12 +501,7 @@ nn::Tensor FusionPipeline::stream_layer(StreamEngine& eng,
         if (out_rows >= out_shape.h) {
           throw std::runtime_error("pipeline produced too many rows");
         }
-        for (int c = 0; c < out_shape.c; ++c) {
-          for (int w = 0; w < out_shape.w; ++w) {
-            out.at(c, out_rows, w) =
-                r.data[static_cast<std::size_t>(c) * out_shape.w + w];
-          }
-        }
+        scatter_row(r, out, out_rows);
         ++out_rows;
         progressed = true;
       }

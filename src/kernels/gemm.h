@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "fixed/fixed16.h"
 #include "kernels/blocking.h"
 
 namespace hetacc::kernels {
@@ -162,14 +163,14 @@ struct QuantParams {
 
 /// The one requantization formula, shared by every i8 path (SIMD stamps,
 /// scalar fallback, golden references, streaming engines) so they are
-/// bit-identical: round-to-nearest-even via llrint under the default
-/// FE_TONEAREST mode, then saturate. The product is exact in double (the
-/// i32 accumulator has < 53 significant bits), so the result is a function
-/// of (acc, scale) alone — never of the ISA stamp that produced acc.
+/// bit-identical: round-to-nearest-even via fixed::rint_sat (inline, no
+/// libm call), then saturate. The product is exact in double (the i32
+/// accumulator has < 53 significant bits), so the result is a function of
+/// (acc, scale) alone — never of the ISA stamp that produced acc.
 inline std::int8_t requantize_i32(std::int32_t acc, float scale,
                                   std::int32_t zero_point, bool relu) {
-  long long r = std::llrint(static_cast<double>(acc) *
-                            static_cast<double>(scale)) +
+  long long r = fixed::rint_sat(static_cast<double>(acc) *
+                                static_cast<double>(scale)) +
                 zero_point;
   if (relu && r < zero_point) r = zero_point;
   if (r < -128) r = -128;

@@ -215,7 +215,6 @@ void winograd_strip(const WinogradPlan& plan, const float* strip, int strip_w,
     // mispredicts on real data); std::max keeps a NaN either way.
     const float floor =
         relu ? 0.0f : -std::numeric_limits<float>::infinity();
-    const int frac = out_frac;
     for (int tj = 0; tj < T; ++tj) {
       const float* mrow = mm + static_cast<std::size_t>(tj) * out_c + oc0;
       for (int ab = 0; ab < n * n; ++ab) {
@@ -237,11 +236,17 @@ void winograd_strip(const WinogradPlan& plan, const float* strip, int strip_w,
           for (int x = 0; x < cols; ++x) {
             orow[x] = std::max(ya[x * kLanes] + b, floor);
           }
-          if (frac >= 0) {
-            for (int x = 0; x < cols; ++x) {
-              orow[x] = fixed::quantize_to_float(orow[x], frac);
-            }
-          }
+        }
+      }
+    }
+    // 16-bit mode: the task's output rows are complete, so each is snapped
+    // onto the Q(out_frac) grid in one vectorized pass while still hot.
+    if (out_frac >= 0) {
+      for (int l = 0; l < live; ++l) {
+        for (int a = 0; a < rows_out; ++a) {
+          float* orow = out_rows[static_cast<std::size_t>(a) * out_c + oc0 + l];
+          fixed::quantize_row(orow, orow, static_cast<std::size_t>(out_w),
+                              out_frac);
         }
       }
     }
@@ -396,11 +401,9 @@ void winograd_conv_i16(const WinogradPlanFixed& plan, const float* in, int H,
   parallel_for(static_cast<std::size_t>(plan.in_c), threads,
                [&](std::size_t c) {
                  const std::size_t base = c * static_cast<std::size_t>(H) * W;
-                 for (std::size_t i = 0;
-                      i < static_cast<std::size_t>(H) * W; ++i) {
-                   qin[base + i] =
-                       fixed::quantize_to_float(in[base + i], data_frac);
-                 }
+                 fixed::quantize_row(in + base, qin + base,
+                                     static_cast<std::size_t>(H) * W,
+                                     data_frac);
                });
 
   float* strip =

@@ -119,11 +119,9 @@ nn::WeightStore quantize_weights(const nn::Network& net,
     }
     for (float b : w.bias) m = std::max(m, std::abs(b));
     const int frac = fixed::choose_frac_bits(m);
-    for (std::int64_t j = 0; j < w.filters.size(); ++j) {
-      w.filters.data()[j] =
-          fixed::quantize_to_float(w.filters.data()[j], frac);
-    }
-    for (auto& b : w.bias) b = fixed::quantize_to_float(b, frac);
+    fixed::quantize_row(w.filters.data(), w.filters.data(),
+                        static_cast<std::size_t>(w.filters.size()), frac);
+    fixed::quantize_in_place(w.bias, frac);
   }
   return out;
 }

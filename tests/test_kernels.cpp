@@ -678,7 +678,7 @@ TEST(GemmI8, I32AccumulationExactAgainstNaive) {
 
 TEST(GemmI8, RequantizeRoundsToEvenAndSaturates) {
   using kernels::requantize_i32;
-  // Round-to-nearest-even on exact .5 ties (llrint under FE_TONEAREST).
+  // Round-to-nearest-even on exact .5 ties (fixed::rint_sat).
   EXPECT_EQ(0, requantize_i32(1, 0.5f, 0, false));    // 0.5 -> 0 (even)
   EXPECT_EQ(2, requantize_i32(3, 0.5f, 0, false));    // 1.5 -> 2 (even)
   EXPECT_EQ(2, requantize_i32(5, 0.5f, 0, false));    // 2.5 -> 2 (even)

@@ -3,14 +3,66 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "algo/int8_quant.h"
 #include "arch/pipeline.h"
+#include "kernels/gemm.h"
 #include "nn/model_zoo.h"
 
 namespace hetacc::quant {
 namespace {
+
+// llrint as the int8 formulas used it, kept as the oracle of the inline
+// rounding. For NaN and d outside (-2^63, 2^63) x86-64 llrint returns
+// LLONG_MIN (-2^63 itself is exact); the oracle returns -2^62 there instead,
+// which saturates the same way but cannot overflow when a negative
+// zero-point is added.
+long long libm_rint(double d) {
+  if (std::isnan(d) || d >= 0x1p63 || d <= -0x1p63) return -(1ll << 62);
+  return std::llrint(d);
+}
+
+std::int8_t libm_quantize_act_i8(float v, float scale, std::int32_t zp) {
+  long long q =
+      libm_rint(static_cast<double>(v) / static_cast<double>(scale)) + zp;
+  if (q < -128) q = -128;
+  if (q > 127) q = 127;
+  return static_cast<std::int8_t>(q);
+}
+
+std::int8_t libm_requantize_i32(std::int32_t acc, float scale,
+                                std::int32_t zp, bool relu) {
+  long long r =
+      libm_rint(static_cast<double>(acc) * static_cast<double>(scale)) + zp;
+  if (relu && r < zp) r = zp;
+  if (r < -128) r = -128;
+  if (r > 127) r = 127;
+  return static_cast<std::int8_t>(r);
+}
+
+/// Strided float bit patterns reaching every exponent, both signs, NaNs
+/// included, plus the rounding edges: ties, rails, +-0, denormals, +-Inf.
+std::vector<float> int8_inputs() {
+  std::vector<float> v;
+  for (std::uint64_t u = 0; u <= 0xFFFFFFFFull; u += 65521) {
+    v.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(u)));
+  }
+  for (float k : {0.5f, 1.5f, 2.5f, 126.5f, 127.5f, 128.5f, 255.5f}) {
+    v.push_back(k);
+    v.push_back(-k);
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  for (float e : {0.0f, -0.0f, std::numeric_limits<float>::denorm_min(),
+                  -std::numeric_limits<float>::denorm_min(), inf, -inf,
+                  std::numeric_limits<float>::quiet_NaN()}) {
+    v.push_back(e);
+  }
+  return v;
+}
 
 class CalibrationTest : public ::testing::Test {
  protected:
@@ -146,6 +198,68 @@ TEST(ActQuantGrid, ExtendsRangeToZeroAndNudgesZeroPoint) {
   // Real 0.0 maps exactly onto code zp and back.
   EXPECT_EQ(algo::quantize_act_i8(0.0f, s.scale, s.zp),
             static_cast<std::int8_t>(s.zp));
+}
+
+TEST(Int8Rounding, ActivationCodesBitIdenticalToLlrintFormula) {
+  const std::vector<float> in = int8_inputs();
+  for (float scale : {1.0f, 0.5f, 8.0f / 255.0f, 1e-30f, 3e30f}) {
+    for (std::int32_t zp : {-128, -5, 0, 3, 127}) {
+      for (float v : in) {
+        ASSERT_EQ(algo::quantize_act_i8(v, scale, zp),
+                  libm_quantize_act_i8(v, scale, zp))
+            << "v " << v << " scale " << scale << " zp " << zp;
+      }
+    }
+  }
+  // The contract's edges, spelled out: NaN saturates low, ties go to even.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_EQ(algo::quantize_act_i8(nan, 0.1f, 7), -128);
+  EXPECT_EQ(algo::quantize_act_i8(nan, 0.1f, -128), -128);
+  EXPECT_EQ(algo::quantize_act_i8(2.5f, 1.0f, 0), 2);
+  EXPECT_EQ(algo::quantize_act_i8(-2.5f, 1.0f, 0), -2);
+  EXPECT_EQ(algo::quantize_act_i8(127.5f, 1.0f, 0), 127);
+}
+
+TEST(Int8Rounding, RequantizeBitIdenticalToLlrintFormula) {
+  std::vector<float> scales;
+  for (std::uint64_t u = 0; u <= 0xFFFFFFFFull; u += 16777259) {
+    scales.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(u)));
+  }
+  for (float s : {0.5f, 1.0f, 1e-3f, 1e9f}) scales.push_back(s);
+  for (float scale : scales) {
+    for (std::int64_t acc = INT32_MIN; acc <= INT32_MAX; acc += 33554467) {
+      for (std::int32_t zp : {-128, -9, 0, 5, 127}) {
+        for (bool relu : {false, true}) {
+          const auto a = static_cast<std::int32_t>(acc);
+          ASSERT_EQ(kernels::requantize_i32(a, scale, zp, relu),
+                    libm_requantize_i32(a, scale, zp, relu))
+              << "acc " << a << " scale " << scale << " zp " << zp
+              << " relu " << relu;
+        }
+      }
+    }
+  }
+  // Ties at +-k.5 go to even; NaN saturates low, or to the zero-point
+  // under ReLU.
+  EXPECT_EQ(kernels::requantize_i32(5, 0.5f, 0, false), 2);
+  EXPECT_EQ(kernels::requantize_i32(-5, 0.5f, 0, false), -2);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_EQ(kernels::requantize_i32(3, nan, 4, false), -128);
+  EXPECT_EQ(kernels::requantize_i32(3, nan, 4, true), 4);
+}
+
+TEST(Int8Rounding, PrepackConstantsSaturateNaNWeightsLow) {
+  // The prepack-time roundings share the helper: a NaN weight takes the
+  // symmetric bottom code, a NaN bias the bottom of the i32 range.
+  nn::FilterBank f(1, 1, 1);
+  f.data()[0] = std::numeric_limits<float>::quiet_NaN();
+  algo::Int8ConvQuant q;
+  q.w_scales = {1.0f};
+  const std::vector<std::int8_t> wq = algo::quantize_filters_i8(f, q);
+  EXPECT_EQ(wq[0], -127);
+  const std::vector<std::int32_t> b = algo::fold_bias_i8(
+      {std::numeric_limits<float>::quiet_NaN()}, q, wq.data(), 1, 1);
+  EXPECT_EQ(b[0], INT32_MIN);
 }
 
 TEST(ActQuantGrid, DegenerateRangeFallsBackToIdentity) {
