@@ -6,6 +6,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "arch/pipeline.h"
 #include "cost/cost_model.h"
 
 namespace hetacc::arch {
@@ -234,13 +235,13 @@ std::size_t minimal_fifo_depth_rows(
     const nn::Network& net, std::size_t first, std::size_t last,
     const std::vector<fpga::Implementation>& impls, const fpga::Device& dev,
     double tolerance) {
-  const auto unbounded =
-      simulate_dataflow(net, first, last, impls, dev, SIZE_MAX / 2);
-  if (!unbounded.completed) {
-    throw std::runtime_error("minimal_fifo_depth_rows: baseline failed");
-  }
+  // With unbounded channels the event simulation reproduces the schedule
+  // recurrence exactly (pinned in test_event_sim), so the baseline costs
+  // one recurrence instead of one more event run.
   const double limit =
-      static_cast<double>(unbounded.makespan_cycles) * (1.0 + tolerance);
+      static_cast<double>(
+          simulate_schedule(net, first, last, impls, dev).makespan_cycles) *
+      (1.0 + tolerance);
   std::size_t lo = 1, hi = 64;
   // Ensure hi is sufficient.
   while (hi < 4096) {

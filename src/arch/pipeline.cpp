@@ -57,6 +57,21 @@ void scatter_row(const Row& r, nn::Tensor& t, int h) {
   }
 }
 
+/// Both constructors' argument check: `net` starts with an input layer and
+/// `choices` has one entry per later layer (empty = all-conventional float).
+std::vector<LayerChoice> checked_choices(const nn::Network& net,
+                                         std::vector<LayerChoice> choices) {
+  if (net.empty() || net[0].kind != nn::LayerKind::kInput) {
+    throw std::invalid_argument("FusionPipeline: net must start with input");
+  }
+  const std::size_t layer_count = net.size() - 1;
+  if (choices.empty()) choices.resize(layer_count);
+  if (choices.size() != layer_count) {
+    throw std::invalid_argument("FusionPipeline: choices size mismatch");
+  }
+  return choices;
+}
+
 }  // namespace
 
 long long PrepackBundle::resident_bytes() const {
@@ -108,15 +123,7 @@ std::uint32_t PrepackBundle::content_crc() const {
 FusionPipeline::FusionPipeline(const nn::Network& net,
                                const nn::WeightStore& ws,
                                std::vector<LayerChoice> choices)
-    : net_(net), ws_(ws), choices_(std::move(choices)) {
-  if (net_.empty() || net_[0].kind != nn::LayerKind::kInput) {
-    throw std::invalid_argument("FusionPipeline: net must start with input");
-  }
-  const std::size_t layer_count = net_.size() - 1;
-  if (choices_.empty()) choices_.resize(layer_count);
-  if (choices_.size() != layer_count) {
-    throw std::invalid_argument("FusionPipeline: choices size mismatch");
-  }
+    : net_(net), ws_(ws), choices_(checked_choices(net, std::move(choices))) {
   derive_layer_constants();
   engines_ = build_engine_set();
 }
@@ -125,16 +132,9 @@ FusionPipeline::FusionPipeline(const nn::Network& net,
                                const nn::WeightStore& ws,
                                std::vector<LayerChoice> choices,
                                std::shared_ptr<const PrepackBundle> prepack)
-    : net_(net), ws_(ws), choices_(std::move(choices)),
+    : net_(net), ws_(ws), choices_(checked_choices(net, std::move(choices))),
       prepack_(std::move(prepack)) {
-  if (net_.empty() || net_[0].kind != nn::LayerKind::kInput) {
-    throw std::invalid_argument("FusionPipeline: net must start with input");
-  }
-  const std::size_t layer_count = net_.size() - 1;
-  if (choices_.empty()) choices_.resize(layer_count);
-  if (choices_.size() != layer_count) {
-    throw std::invalid_argument("FusionPipeline: choices size mismatch");
-  }
+  const std::size_t layer_count = choices_.size();
   if (!prepack_ || prepack_->wino.size() != layer_count ||
       prepack_->packed.size() != layer_count ||
       prepack_->int8.size() != layer_count) {
@@ -296,7 +296,18 @@ nn::Tensor FusionPipeline::run(const nn::Tensor& input) {
 nn::Tensor FusionPipeline::run_any(
     std::vector<std::unique_ptr<StreamEngine>>& engines,
     const nn::Tensor& input, PipelineStats* stats) const {
-  return net_.is_chain() ? run_with(engines, input, stats)
+  // Fresh engine state per image (the hardware resets its line-buffer
+  // counters between frames); layer constants survive the reset.
+  for (auto& e : engines) {
+    if (e) e->reset();
+  }
+  if (input.shape() != net_[0].out) {
+    throw std::invalid_argument("FusionPipeline::run: input shape " +
+                                input.shape().str() + " != " +
+                                net_[0].out.str());
+  }
+  if (stats) *stats = PipelineStats{};
+  return net_.is_chain() ? stream(engines, 0, engines.size(), input, stats)
                          : run_dag(engines, input, stats);
 }
 
@@ -323,118 +334,14 @@ std::vector<nn::Tensor> FusionPipeline::run_batch(
   return outs;
 }
 
-nn::Tensor FusionPipeline::run_with(
-    std::vector<std::unique_ptr<StreamEngine>>& engines,
-    const nn::Tensor& input, PipelineStats* stats) const {
-  // Fresh engine state per image (the hardware resets its line-buffer
-  // counters between frames); layer constants survive the reset.
-  for (auto& e : engines) e->reset();
-  if (input.shape() != net_[0].out) {
-    throw std::invalid_argument("FusionPipeline::run: input shape " +
-                                input.shape().str() + " != " +
-                                net_[0].out.str());
-  }
-  const std::size_t n = engines.size();
-  std::vector<RowFifo> fifos(n + 1);
-  if (injector_) {
-    // Channel i feeds engine i; channel n is the store stream. Engines use
-    // their layer index as the line-buffer injection stream.
-    for (std::size_t i = 0; i <= n; ++i) {
-      fifos[i].attach_fault(injector_.get(), static_cast<std::uint64_t>(i));
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      engines[i]->set_fault_injector(injector_.get(),
-                                     static_cast<std::uint64_t>(i));
-    }
-  }
-  if (stats) *stats = PipelineStats{};
-
-  const nn::Shape out_shape = net_[net_.size() - 1].out;
-  nn::Tensor out(out_shape);
-  int out_rows = 0;
-  int fed_rows = 0;
-
-  // Feed one input row, then let every engine advance as far as it can —
-  // this keeps FIFO occupancy near the hardware steady state instead of
-  // buffering whole feature maps. The feeder honors the channel's
-  // back-pressure (full() is also how a wedged channel presents), so a
-  // stalled input stream surfaces through the watchdog, not as overflow.
-  while (out_rows < out_shape.h) {
-    if (cancel_ && cancel_->load(std::memory_order_relaxed)) {
-      throw ServeError(ServeError::Reason::kCancelled,
-                       "pipeline run cancelled after emitting " +
-                           std::to_string(out_rows) + "/" +
-                           std::to_string(out_shape.h) + " output rows");
-    }
-    const bool can_feed = fed_rows < input.shape().h && !fifos[0].full();
-    if (can_feed) {
-      fifos[0].push(gather_row(input, fed_rows));
-      ++fed_rows;
-    }
-
-    bool progressed = true;
-    while (progressed) {
-      progressed = false;
-      for (std::size_t i = 0; i < n; ++i) {
-        while (engines[i]->step(fifos[i], fifos[i + 1])) {
-          progressed = true;
-          if (stats) ++stats->total_steps;
-        }
-      }
-      // Drain finished output rows.
-      while (!fifos[n].empty()) {
-        const Row r = fifos[n].pop();
-        if (out_rows >= out_shape.h) {
-          throw std::runtime_error("pipeline produced too many rows");
-        }
-        scatter_row(r, out, out_rows);
-        ++out_rows;
-        progressed = true;
-      }
-    }
-    if (!can_feed && out_rows < out_shape.h && !progressed) {
-      // One more sweep is attempted by the loop; if nothing moves and the
-      // feeder cannot either (input exhausted, or the input channel is
-      // refusing traffic), the pipeline is deadlocked.
-      bool anything = false;
-      for (std::size_t i = 0; i < n && !anything; ++i) {
-        anything = engines[i]->step(fifos[i], fifos[i + 1]);
-      }
-      if (!anything && fifos[n].empty()) {
-        report_stall(engines, fifos);
-      }
-    }
-  }
-
-  if (stats) {
-    stats->fifo_max_occupancy.clear();
-    for (const auto& f : fifos) {
-      stats->fifo_max_occupancy.push_back(f.max_occupancy());
-    }
-  }
-  return out;
-}
-
 nn::Tensor FusionPipeline::run_dag(
     std::vector<std::unique_ptr<StreamEngine>>& engines,
     const nn::Tensor& input, PipelineStats* stats) const {
   // Graph walk: each single-input layer streams row-by-row through its
-  // engine with a private FIFO pair (same feed/sweep/drain discipline as the
-  // chained path); merge layers gather their producers' whole feature maps
-  // and combine them between streams, which is how the generated design
-  // stages branch arms through DDR today.
-  for (auto& e : engines) {
-    if (e) e->reset();
-  }
-  if (input.shape() != net_[0].out) {
-    throw std::invalid_argument("FusionPipeline::run: input shape " +
-                                input.shape().str() + " != " +
-                                net_[0].out.str());
-  }
-  if (stats) {
-    *stats = PipelineStats{};
-    stats->fifo_max_occupancy.assign(net_.size(), 0);
-  }
+  // engine (the same loop the chained path runs over all engines); merge
+  // layers gather their producers' whole feature maps and combine them
+  // between streams, which is how the generated design stages branch arms
+  // through DDR today.
   std::vector<nn::Tensor> outs;
   outs.reserve(net_.size());
   outs.push_back(input);
@@ -449,55 +356,76 @@ nn::Tensor FusionPipeline::run_dag(
                          : nn::eltwise_add_reference(ins));
       continue;
     }
-    outs.push_back(stream_layer(*engines[i - 1], outs[l.inputs.front()],
-                                l.out, stats, i - 1));
+    outs.push_back(
+        stream(engines, i - 1, i, outs[l.inputs.front()], stats));
   }
   return std::move(outs.back());
 }
 
-nn::Tensor FusionPipeline::stream_layer(StreamEngine& eng,
-                                        const nn::Tensor& input,
-                                        const nn::Shape& out_shape,
-                                        PipelineStats* stats,
-                                        std::size_t engine_idx) const {
-  RowFifo in_fifo;
-  RowFifo out_fifo;
+nn::Tensor FusionPipeline::stream(
+    std::vector<std::unique_ptr<StreamEngine>>& engines, std::size_t first,
+    std::size_t end, const nn::Tensor& input, PipelineStats* stats) const {
+  // fifos[k] is channel first + k: it feeds engine first + k, and the last
+  // one carries engine end - 1's output rows.
+  const std::size_t n = engines.size();
+  const std::size_t m = end - first;
+  std::vector<RowFifo> fifos(m + 1);
   if (injector_) {
-    // Same stream ids as the chained path: channel i feeds engine i, and the
-    // engine uses its layer index as the line-buffer injection stream.
-    in_fifo.attach_fault(injector_.get(),
-                         static_cast<std::uint64_t>(engine_idx));
-    out_fifo.attach_fault(injector_.get(),
-                          static_cast<std::uint64_t>(engine_idx + 1));
-    eng.set_fault_injector(injector_.get(),
-                           static_cast<std::uint64_t>(engine_idx));
+    // Each channel id names exactly one FIFO: channel i feeds engine i and
+    // channel n is the store stream. A DAG layer's output FIFO ends in a
+    // whole-tensor hop, not a channel, unless it is the net's store stream.
+    // Engines use their layer index as the line-buffer injection stream.
+    for (std::size_t k = 0; k <= m; ++k) {
+      if (k < m || end == n) {
+        fifos[k].attach_fault(injector_.get(),
+                              static_cast<std::uint64_t>(first + k));
+      }
+    }
+    for (std::size_t i = first; i < end; ++i) {
+      engines[i]->set_fault_injector(injector_.get(),
+                                     static_cast<std::uint64_t>(i));
+    }
   }
+
+  const nn::Shape& out_shape = net_[end].out;
   nn::Tensor out(out_shape);
   int out_rows = 0;
   int fed_rows = 0;
+  const auto stage_name = [&](std::size_t ch) {
+    return ch < n ? engines[ch]->layer().name : std::string("store");
+  };
+
+  // Feed one input row, then let every engine advance as far as it can —
+  // this keeps FIFO occupancy near the hardware steady state instead of
+  // buffering whole feature maps. The feeder honors the channel's
+  // back-pressure (full() is also how a wedged channel presents), so a
+  // stalled input stream surfaces through the watchdog, not as overflow.
   while (out_rows < out_shape.h) {
     if (cancel_ && cancel_->load(std::memory_order_relaxed)) {
       throw ServeError(ServeError::Reason::kCancelled,
                        "pipeline run cancelled in stage '" +
-                           eng.layer().name + "' after emitting " +
+                           stage_name(end - 1) + "' after emitting " +
                            std::to_string(out_rows) + "/" +
                            std::to_string(out_shape.h) + " output rows");
     }
-    const bool can_feed = fed_rows < input.shape().h && !in_fifo.full();
+    const bool can_feed = fed_rows < input.shape().h && !fifos[0].full();
     if (can_feed) {
-      in_fifo.push(gather_row(input, fed_rows));
+      fifos[0].push(gather_row(input, fed_rows));
       ++fed_rows;
     }
 
     bool progressed = true;
     while (progressed) {
       progressed = false;
-      while (eng.step(in_fifo, out_fifo)) {
-        progressed = true;
-        if (stats) ++stats->total_steps;
+      for (std::size_t k = 0; k < m; ++k) {
+        while (engines[first + k]->step(fifos[k], fifos[k + 1])) {
+          progressed = true;
+          if (stats) ++stats->total_steps;
+        }
       }
-      while (!out_fifo.empty()) {
-        const Row r = out_fifo.pop();
+      // Drain finished output rows.
+      while (!fifos[m].empty()) {
+        const Row r = fifos[m].pop();
         if (out_rows >= out_shape.h) {
           throw std::runtime_error("pipeline produced too many rows");
         }
@@ -506,72 +434,55 @@ nn::Tensor FusionPipeline::stream_layer(StreamEngine& eng,
         progressed = true;
       }
     }
-    if (!can_feed && out_rows < out_shape.h && !progressed) {
-      if (!eng.step(in_fifo, out_fifo) && out_fifo.empty()) {
-        if (in_fifo.wedged() || out_fifo.wedged()) {
-          const std::size_t ch = in_fifo.wedged() ? engine_idx : engine_idx + 1;
-          if (injector_) {
-            const RowFifo& f = in_fifo.wedged() ? in_fifo : out_fifo;
-            injector_->count_unrecovered(
-                fault::FaultSite::kFifoPush, static_cast<std::uint64_t>(ch),
-                static_cast<std::uint64_t>(f.total_pushed()), 0);
-          }
-          throw FaultError(
-              "pipeline watchdog: FIFO channel " + std::to_string(ch) +
-                  " feeding stage '" + eng.layer().name + "' wedged",
-              eng.layer().name, static_cast<long long>(ch));
-        }
-        throw FaultError("pipeline watchdog: stage '" + eng.layer().name +
-                             "' starved (input exhausted)",
-                         eng.layer().name,
-                         static_cast<long long>(engine_idx));
-      }
+    if (can_feed || out_rows >= out_shape.h) continue;
+
+    // The DATAFLOW watchdog. The sweep above went quiet and the feeder
+    // cannot move either (input exhausted, or the input channel refuses
+    // traffic); if one more sweep moves nothing and the output stream is
+    // empty, the run is deadlocked. Diagnose which stage wedged instead of
+    // hanging (the hardware's watchdog timer raises an interrupt with the
+    // stalled stream's id; here the "interrupt" is a structured FaultError).
+    bool anything = false;
+    for (std::size_t k = 0; k < m && !anything; ++k) {
+      anything = engines[first + k]->step(fifos[k], fifos[k + 1]);
     }
+    if (anything || !fifos[m].empty()) continue;
+    for (std::size_t k = 0; k <= m; ++k) {
+      if (!fifos[k].wedged()) continue;
+      const std::size_t ch = first + k;
+      const std::string stage = stage_name(ch);
+      if (injector_) {
+        injector_->count_unrecovered(
+            fault::FaultSite::kFifoPush, static_cast<std::uint64_t>(ch),
+            static_cast<std::uint64_t>(fifos[k].total_pushed()), 0);
+      }
+      throw FaultError("pipeline watchdog: FIFO channel " +
+                           std::to_string(ch) + " feeding stage '" + stage +
+                           "' wedged after " +
+                           std::to_string(fifos[k].total_pushed()) +
+                           " pushes",
+                       stage, static_cast<long long>(ch));
+    }
+    for (std::size_t k = 0; k < m; ++k) {
+      const StreamEngine& e = *engines[first + k];
+      if (e.done()) continue;
+      throw FaultError(
+          "pipeline watchdog: stage '" + e.layer().name + "' starved (in fifo " +
+              (fifos[k].empty() ? "empty" : "ready") + ", out fifo " +
+              (fifos[k + 1].full() ? "full" : "ready") + ")",
+          e.layer().name, static_cast<long long>(first + k));
+    }
+    throw FaultError("pipeline watchdog: stalled with all engines done", "");
   }
+
   if (stats) {
     auto& occ = stats->fifo_max_occupancy;
-    occ[engine_idx] = std::max(occ[engine_idx], in_fifo.max_occupancy());
-    occ[engine_idx + 1] =
-        std::max(occ[engine_idx + 1], out_fifo.max_occupancy());
+    occ.resize(n + 1);
+    for (std::size_t k = 0; k <= m; ++k) {
+      occ[first + k] = std::max(occ[first + k], fifos[k].max_occupancy());
+    }
   }
   return out;
-}
-
-void FusionPipeline::report_stall(
-    const std::vector<std::unique_ptr<StreamEngine>>& engines,
-    const std::vector<RowFifo>& fifos) const {
-  // The DATAFLOW watchdog: no engine made progress, no input remains, and
-  // the store stream is empty. Diagnose which stage wedged instead of
-  // hanging (the hardware's watchdog timer raises an interrupt with the
-  // stalled stream's id; here the "interrupt" is a structured FaultError).
-  const std::size_t n = engines.size();
-  for (std::size_t i = 0; i < fifos.size(); ++i) {
-    if (!fifos[i].wedged()) continue;
-    const std::string stage =
-        i < n ? engines[i]->layer().name : std::string("store");
-    if (injector_) {
-      injector_->count_unrecovered(fault::FaultSite::kFifoPush,
-                                   static_cast<std::uint64_t>(i),
-                                   static_cast<std::uint64_t>(
-                                       fifos[i].total_pushed()),
-                                   0);
-    }
-    throw FaultError("pipeline watchdog: FIFO channel " + std::to_string(i) +
-                         " feeding stage '" + stage +
-                         "' wedged after " +
-                         std::to_string(fifos[i].total_pushed()) + " pushes",
-                     stage, static_cast<long long>(i));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!engines[i]->done()) {
-      throw FaultError(
-          "pipeline watchdog: stage '" + engines[i]->layer().name +
-              "' starved (in fifo " + (fifos[i].empty() ? "empty" : "ready") +
-              ", out fifo " + (fifos[i + 1].full() ? "full" : "ready") + ")",
-          engines[i]->layer().name, static_cast<long long>(i));
-    }
-  }
-  throw FaultError("pipeline watchdog: stalled with all engines done", "");
 }
 
 ScheduleResult simulate_schedule(const nn::Network& net, std::size_t first,

@@ -163,22 +163,25 @@ class FusionPipeline {
  private:
   [[nodiscard]] std::vector<std::unique_ptr<StreamEngine>> build_engine_set()
       const;
-  /// Dispatches to the chained-FIFO path on chain nets and the graph walk
-  /// (per-layer streams + tensor merges) otherwise.
+  /// Resets the engines, checks the input shape and runs the image: one
+  /// stream() over every engine on chain nets, the graph walk otherwise.
   nn::Tensor run_any(std::vector<std::unique_ptr<StreamEngine>>& engines,
                      const nn::Tensor& input, PipelineStats* stats) const;
-  nn::Tensor run_with(std::vector<std::unique_ptr<StreamEngine>>& engines,
-                      const nn::Tensor& input, PipelineStats* stats) const;
+  /// Graph walk: one stream() per non-merge layer; merge layers combine
+  /// their producers' whole output tensors between streams.
   nn::Tensor run_dag(std::vector<std::unique_ptr<StreamEngine>>& engines,
                      const nn::Tensor& input, PipelineStats* stats) const;
-  nn::Tensor stream_layer(StreamEngine& eng, const nn::Tensor& input,
-                          const nn::Shape& out_shape, PipelineStats* stats,
-                          std::size_t engine_idx) const;
+  /// The one row-streaming loop: feeds `input` row by row through engines
+  /// [first, end), chained by FIFO channels, and returns layer `end`'s
+  /// output. Channel i feeds engine i and channel engines.size() is the
+  /// store stream. Owns back-pressure, the step/drain sweep, the cancel
+  /// poll, the deadlock watchdog, FIFO / line-buffer fault hooks and the
+  /// PipelineStats counters.
+  nn::Tensor stream(std::vector<std::unique_ptr<StreamEngine>>& engines,
+                    std::size_t first, std::size_t end,
+                    const nn::Tensor& input, PipelineStats* stats) const;
 
   void derive_layer_constants();
-  [[noreturn]] void report_stall(
-      const std::vector<std::unique_ptr<StreamEngine>>& engines,
-      const std::vector<RowFifo>& fifos) const;
 
   nn::Network net_;
   nn::WeightStore ws_;

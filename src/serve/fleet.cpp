@@ -13,7 +13,6 @@
 
 #include "fault/crc32.h"
 #include "kernels/parallel.h"
-#include "serve/breaker.h"
 #include "serve/queue.h"
 #include "support/error.h"
 
@@ -431,8 +430,7 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
     bool crashed = false;
     double slow_factor = 1.0;
     long long slow_until = 0;  ///< kInf = until quarantine replaces it
-    std::unique_ptr<CircuitBreaker> gate;  ///< quarantine state machine
-    bool probe_pending = false;  ///< mirror of the gate's probe slot
+    bool probe_pending = false;  ///< the probation probe is in flight
     std::deque<char> miss_ring;  ///< rolling service-overrun window
     int window_misses = 0;
     int consec_failures = 0;
@@ -570,9 +568,6 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
         ms.service.size(), models_[m].ladder.home, ms.cap_total,
         cfg_.regime);
     rep.leases.resize(models_[m].ladder.rungs.size());
-    BreakerConfig gate_cfg;
-    gate_cfg.probe_successes = 1;  // single-probe probation
-    rep.gate = std::make_unique<CircuitBreaker>(gate_cfg);
     // The home-rung bundle decides cold vs warm: a cold spin-up derives the
     // constants, a warm one adopts the resident copy a peer already built.
     const bool hit = acquire_rung(
@@ -881,7 +876,6 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
         f.hedge_at = now + nominal + cfg_.hedge.delay_cycles;
       }
       if (probe) {
-        (void)rep.gate->try_acquire_probe(now);  // scan guaranteed the slot
         rep.probe_pending = true;
         f.is_probe = true;
         ++stats.probes;
@@ -958,9 +952,9 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
   };
 
   // Quarantine: isolate the replica, cancel + rescue its in-flight batch,
-  // and respawn it in place through the cold/warm spin-up ledger. The gate
-  // breaker opens with the spin-up as cooldown, so the replica-ready event
-  // lands exactly when half-open probation can begin.
+  // and respawn it in place through the cold/warm spin-up ledger. The
+  // replica-ready event at ready_at moves it to kProbation, where a single
+  // probe batch decides readmit or another quarantine.
   const auto quarantine = [&](std::size_t m, std::size_t ki, long long now) {
     ModelState& ms = mstate[m];
     Replica& rep = ms.replicas[ki];
@@ -1018,7 +1012,6 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
     stats.models[m].spinup_cycles += spinup;
     rep.ready_at = now + spinup;
     rep.spinning = true;
-    rep.gate->force_open(now, spinup);
   };
 
   // Retry with backoff: base << (attempt - 1), capped at 4 x base. The
@@ -1105,7 +1098,6 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
       rep.probe_pending = false;
       const bool overran = now - f.dispatched > f.nominal;
       if (ok && !overran) {
-        rep.gate->record_success(now);  // half-open -> closed (1 probe)
         rep.health = Replica::Health::kHealthy;
         rep.miss_ring.clear();
         rep.window_misses = 0;
@@ -1369,9 +1361,7 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
           if (r.id != best_r) continue;
           r.spinning = false;
           if (r.health == Replica::Health::kQuarantined) {
-            // Respawn finished; the gate's cooldown == spin-up, so reading
-            // the state commits open -> half-open and probation begins.
-            (void)r.gate->state(t_ready);
+            // Respawn finished: single-probe probation begins.
             r.health = Replica::Health::kProbation;
             health_log_.push_back(
                 {t_ready, HealthEvent::Kind::kRespawn, best_m, r.id});

@@ -107,9 +107,9 @@ struct AutoscaleConfig {
 /// zero — only sick replicas (kSlow, kWedge) accumulate. Quarantine cancels
 /// and requeues the in-flight batch, releases the replica's bundle leases,
 /// respawns through the autoscale cold/warm spin-up ledger, and re-admits
-/// via a breaker-style single-probe probation (CircuitBreaker::force_open
-/// with the spin-up as the cooldown, then the ordinary open -> half-open ->
-/// closed walk). With `enabled = false` nothing detects or recovers faults:
+/// via a single-probe probation (Replica::Health walks kQuarantined ->
+/// kProbation at the end of the spin-up -> kHealthy on an on-time probe; a
+/// failed or late probe quarantines again). With `enabled = false` nothing detects or recovers faults:
 /// a wedge loses its requests — the failure mode this PR exists to close.
 struct HealthConfig {
   bool enabled = true;

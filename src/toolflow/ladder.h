@@ -94,9 +94,10 @@ struct ServingLadderPlan {
 /// layers on a capped input (so 10k-request soaks stay fast), deterministic
 /// weights, and the cached degradation ladder in the serving runtime's shape
 /// — per-rung numeric modes from the testbed calibration, service cycles
-/// from the full-strategy pricing. The per-model unit `hetacc --serve`,
-/// `--fleet`, and the fleet benches all build; the DSE is paid once per
-/// (model, device) through cached_serving_ladder.
+/// from the full-strategy pricing. The per-model unit `hetacc --fleet` and
+/// perfbench's fleet-mix workload build (`hetacc --serve` builds its own
+/// single-model testbed); the DSE is paid once per (model, device) through
+/// cached_serving_ladder.
 struct TestbedLadder {
   nn::Network net;
   nn::WeightStore ws;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "arch/pipeline.h"
+#include "core/dp_optimizer.h"
 #include "nn/model_zoo.h"
 
 namespace hetacc::arch {
@@ -60,6 +61,48 @@ TEST_F(EventSimTest, UnboundedMatchesScheduleRecurrenceClosely) {
                        static_cast<double>(sched.makespan_cycles);
   EXPECT_GT(ratio, 0.7);
   EXPECT_LT(ratio, 1.4);
+}
+
+// With unbounded channels the event simulator and the row-level schedule
+// recurrence are one model: each engine emits a row as soon as its window's
+// deepest producer row and its own previous row are done. Pinned exactly on
+// every group the optimizer picks across the zoo, three devices and three
+// transfer budgets — minimal_fifo_depth_rows relies on it for its baseline.
+TEST(EventSimPin, UnboundedMakespanEqualsScheduleOnEveryChosenGroup) {
+  const nn::Network zoo[] = {nn::alexnet(),    nn::vgg_e(),
+                             nn::vgg16(),      nn::vgg_e_head(),
+                             nn::nin(),        nn::inception_mini(),
+                             nn::resnet_mini()};
+  int groups = 0;
+  for (const nn::Network& full : zoo) {
+    const nn::Network net = full.accelerated_portion();
+    for (const fpga::Device& dev :
+         {fpga::zc706(), fpga::vc707(), fpga::vx690t()}) {
+      const EngineModel model(dev);
+      for (const double frac : {0.25, 0.5, 1.0}) {
+        core::OptimizerOptions oo;
+        const long long unfused =
+            net.unfused_feature_transfer_bytes(dev.data_bytes) +
+            static_cast<long long>(net.size()) * oo.transfer_unit_bytes;
+        oo.transfer_budget_bytes =
+            static_cast<long long>(frac * static_cast<double>(unfused));
+        const core::OptimizeResult r = core::optimize(net, model, oo);
+        if (!r.feasible) continue;
+        for (const auto& g : r.strategy.groups) {
+          const auto ev = simulate_dataflow(net, g.first, g.last, g.impls,
+                                            dev, SIZE_MAX / 2);
+          ASSERT_TRUE(ev.completed);
+          EXPECT_EQ(ev.makespan_cycles,
+                    simulate_schedule(net, g.first, g.last, g.impls, dev)
+                        .makespan_cycles)
+              << net.name() << " " << dev.name << " " << frac << " group ["
+              << g.first << ", " << g.last << "]";
+          ++groups;
+        }
+      }
+    }
+  }
+  EXPECT_GT(groups, 200);
 }
 
 TEST_F(EventSimTest, DeeperFifosNeverSlower) {

@@ -260,7 +260,88 @@ TEST_F(PipelineFaultTest, MidPipelineWedgeBlamesTheConsumerStage) {
   p.wedge_channel = 1;  // channel between engine 0 and engine 1
   p.wedge_after_pushes = 2;
   pipe.install_fault_plan(p, ProtectionConfig::all_on());
-  EXPECT_THROW((void)pipe.run(input_), FaultError);
+  try {
+    (void)pipe.run(input_);
+    FAIL() << "wedged pipeline completed";
+  } catch (const FaultError& e) {
+    EXPECT_EQ(e.stage(), net_[2].name);  // channel 1 feeds the second engine
+    EXPECT_EQ(e.unit(), 1);
+  }
+}
+
+// ------------------------------------------------------- DAG stream path --
+// c1 -> c2 -> c3 with add(c1, c3): three streamed layers and a whole-tensor
+// merge, so run() takes the graph walk and streams each conv separately.
+class DagPipelineFaultTest : public ::testing::Test {
+ protected:
+  static nn::Network skip_net() {
+    nn::Network net("dag-probe");
+    net.input({4, 16, 16});
+    const std::size_t c1 = net.conv_from(0, 4, 3, 1, 1, "c1");
+    const std::size_t c2 = net.conv_from(c1, 4, 3, 1, 1, "c2");
+    const std::size_t c3 = net.conv_from(c2, 4, 3, 1, 1, "c3");
+    net.eltwise_add({c1, c3}, "sum");
+    return net;
+  }
+
+  nn::Network net_ = skip_net();
+  nn::WeightStore ws_ = nn::WeightStore::deterministic(net_, 31);
+  nn::Tensor input_{net_[0].out};
+
+  void SetUp() override {
+    ASSERT_FALSE(net_.is_chain());
+    nn::fill_deterministic(input_, 32);
+  }
+};
+
+TEST_F(DagPipelineFaultTest, EveryChannelIdNamesExactlyOneFifo) {
+  FusionPipeline pipe(net_, ws_);
+  const nn::Tensor golden = pipe.run(input_);
+  FaultPlan p;
+  p.seed = 5;
+  p.fifo_corrupt_rate = 1.0;
+  pipe.install_fault_plan(p);
+  const nn::Tensor struck = pipe.run(input_);
+  // Channels 0, 1 and 2 feed c1, c2 and c3 with 16 rows each; the merge
+  // output is no stream, so there is no store channel. A second FIFO on
+  // the same id would repeat each flip and undo it.
+  const auto fifo_hits = pipe.fault_stats()
+      .injected[static_cast<std::size_t>(FaultSite::kFifoPush)];
+  EXPECT_EQ(fifo_hits, 3 * 16);
+  EXPECT_NE(struck, golden);
+}
+
+TEST_F(DagPipelineFaultTest, WedgedChannelBlamesItsConsumerStage) {
+  FusionPipeline pipe(net_, ws_);
+  FaultPlan p;
+  p.seed = 1;
+  p.wedge_channel = 1;  // feeds c2
+  p.wedge_after_pushes = 2;
+  pipe.install_fault_plan(p);
+  try {
+    (void)pipe.run(input_);
+    FAIL() << "wedged pipeline completed";
+  } catch (const FaultError& e) {
+    EXPECT_EQ(e.stage(), "c2");
+    EXPECT_EQ(e.unit(), 1);
+    EXPECT_NE(std::string(e.what()).find("channel 1"), std::string::npos);
+  }
+  EXPECT_EQ(pipe.fault_stats().unrecovered, 1);
+}
+
+TEST_F(DagPipelineFaultTest, CancelTokenAbandonsTheGraphWalk) {
+  FusionPipeline pipe(net_, ws_);
+  const std::atomic<bool> cancelled{true};
+  pipe.set_cancel_token(&cancelled);
+  try {
+    (void)pipe.run(input_);
+    FAIL() << "cancelled run completed";
+  } catch (const ServeError& e) {
+    EXPECT_EQ(e.reason(), ServeError::Reason::kCancelled);
+    EXPECT_NE(std::string(e.what()).find("c1"), std::string::npos);
+  }
+  pipe.set_cancel_token(nullptr);
+  EXPECT_NO_THROW((void)pipe.run(input_));
 }
 
 // --------------------------------------------------------------- ddr replay --

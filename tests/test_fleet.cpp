@@ -20,7 +20,6 @@
 #include "arch/pipeline.h"
 #include "fault/fault.h"
 #include "fault/fleet_fault.h"
-#include "serve/breaker.h"
 #include "kernels/parallel.h"
 #include "nn/model_zoo.h"
 #include "serve/fleet.h"
@@ -746,6 +745,18 @@ TEST(FleetChaosTest, HomeRungBurstIsAbsorbedByRetryDowngradeAndQuarantine) {
     EXPECT_EQ(count(HealthEvent::Kind::kBurst), 1);
     EXPECT_GE(count(HealthEvent::Kind::kQuarantine), 1);
     EXPECT_GE(count(HealthEvent::Kind::kReadmit), 1);
+    // A probe that fails inside the burst sends its replica straight back
+    // to quarantine: the replica's next health event, same cycle.
+    EXPECT_GE(count(HealthEvent::Kind::kProbeFail), 1);
+    for (std::size_t i = 0; i < log.size(); ++i) {
+      if (log[i].kind != HealthEvent::Kind::kProbeFail) continue;
+      const auto next = std::find_if(
+          log.begin() + static_cast<long>(i) + 1, log.end(),
+          [&](const HealthEvent& e) { return e.replica == log[i].replica; });
+      ASSERT_NE(next, log.end()) << "replica " << log[i].replica;
+      EXPECT_EQ(next->kind, HealthEvent::Kind::kQuarantine);
+      EXPECT_EQ(next->cycle, log[i].cycle);
+    }
     // The walk ends recovered: each replica's last health event is a readmit.
     std::map<int, HealthEvent::Kind> last;
     for (const HealthEvent& e : log) {
@@ -899,25 +910,6 @@ TEST_F(PrepackShareTest, VerifyOffDisablesTheCrcGuard) {
   EXPECT_EQ(cache.stats().scrubs, 0);
   cache.release(l1);
   cache.release(l2);
-}
-
-// -------------------------------------------------- breaker as quarantine --
-TEST(BreakerForceOpenTest, ForceOpenWalksTheOrdinaryProbationPath) {
-  serve::BreakerConfig bc;
-  bc.probe_successes = 1;
-  serve::CircuitBreaker br(bc);
-  EXPECT_EQ(br.state(0), serve::BreakerState::kClosed);
-
-  br.force_open(100, 400);  // cooldown = the respawn spin-up
-  EXPECT_EQ(br.state(100), serve::BreakerState::kOpen);
-  EXPECT_FALSE(br.try_acquire_probe(200));  // still spinning up
-
-  EXPECT_EQ(br.state(500), serve::BreakerState::kHalfOpen);
-  EXPECT_TRUE(br.try_acquire_probe(500));
-  EXPECT_FALSE(br.try_acquire_probe(500));  // single probe slot
-
-  br.record_success(510);
-  EXPECT_EQ(br.state(510), serve::BreakerState::kClosed);
 }
 
 }  // namespace

@@ -22,7 +22,6 @@
 #include "fault/fault.h"
 #include "fault/fleet_fault.h"
 #include "nn/model_zoo.h"
-#include "serve/breaker.h"
 #include "serve/fleet.h"
 #include "serve/queue.h"
 #include "serve/stats.h"
@@ -37,9 +36,6 @@ using fault::FaultPlan;
 using fault::ProtectionConfig;
 using serve::ArrivalTrace;
 using serve::BoundedQueue;
-using serve::BreakerConfig;
-using serve::BreakerState;
-using serve::CircuitBreaker;
 using serve::FleetConfig;
 using serve::FleetStats;
 using serve::HealthEvent;
@@ -135,45 +131,6 @@ TEST(BoundedQueueTest, MpmcStressDeliversEveryItemExactlyOnce) {
   for (std::size_t i = 0; i < seen.size(); ++i) {
     EXPECT_EQ(seen[i].load(), 1) << "item " << i;
   }
-}
-
-// --------------------------------------------------------- circuit breaker --
-// The breaker behind replica quarantine: force_open on isolation, half-open
-// once the respawn cooldown elapses, closed after enough probe wins.
-TEST(CircuitBreakerTest, HalfOpenRecoveryNeedsConfiguredProbeWins) {
-  CircuitBreaker b(BreakerConfig{/*probe_successes=*/2});
-  b.force_open(1, 100);  // open until 101
-  EXPECT_EQ(b.state(100), BreakerState::kOpen);
-  EXPECT_EQ(b.state(101), BreakerState::kHalfOpen);
-  EXPECT_TRUE(b.try_acquire_probe(101));
-  EXPECT_FALSE(b.try_acquire_probe(102));  // single probe slot
-  b.record_success(110);
-  EXPECT_EQ(b.state(110), BreakerState::kHalfOpen);  // one win is not enough
-  EXPECT_TRUE(b.try_acquire_probe(111));
-  b.record_success(120);
-  EXPECT_EQ(b.state(120), BreakerState::kClosed);
-  EXPECT_EQ(b.opens(), 1);
-  EXPECT_EQ(b.closes(), 1);
-  // Transition log records the exact sequence.
-  ASSERT_EQ(b.transitions().size(), 3u);
-  EXPECT_EQ(b.transitions()[0].to, BreakerState::kOpen);
-  EXPECT_EQ(b.transitions()[1].to, BreakerState::kHalfOpen);
-  EXPECT_EQ(b.transitions()[2].to, BreakerState::kClosed);
-}
-
-TEST(CircuitBreakerTest, FailedOrLateProbeReopensWithFreshCooldown) {
-  CircuitBreaker b(BreakerConfig{/*probe_successes=*/1});
-  b.force_open(0, 100);
-  ASSERT_EQ(b.state(100), BreakerState::kHalfOpen);
-  ASSERT_TRUE(b.try_acquire_probe(100));
-  // The probe failed or overran: the replica is quarantined again, which
-  // re-opens the breaker with a fresh cooldown and releases the probe slot —
-  // otherwise half-open wedges with the slot taken forever.
-  b.force_open(105, 100);
-  EXPECT_EQ(b.state(106), BreakerState::kOpen);
-  EXPECT_EQ(b.state(205), BreakerState::kHalfOpen);
-  EXPECT_TRUE(b.try_acquire_probe(205));  // slot is free again
-  EXPECT_EQ(b.opens(), 2);
 }
 
 // ------------------------------------------------------- latency histogram --
@@ -391,8 +348,8 @@ TEST_F(ServerTest, PipelineBurstIsAbsorbedByRetriesAndQuarantine) {
   EXPECT_GT(st.retries, 0);
   EXPECT_GT(ts.completed_degraded, 0);  // downgraded around the wedge
   EXPECT_GE(st.quarantines, 1);
-  // Recovery: some replica walked quarantine -> respawn -> probe -> readmit
-  // (the quarantine breaker's open -> half-open -> closed), in that order.
+  // Recovery: some replica walked quarantine -> respawn -> probe -> readmit,
+  // in that order.
   std::vector<HealthEvent::Kind> walk;
   for (const HealthEvent& e : s.health_log()) {
     if (e.replica == 0) walk.push_back(e.kind);
