@@ -7,10 +7,10 @@
 //     serialize or deopt the kernel layer). Two datapath pairs must hold
 //     their order single-threaded: int8 beats i16, and Winograd F(4x4,3x3)
 //     (plan packed once, as the streaming engines run it) beats im2col+GEMM
-//     on this 3x3 layer, as the cost model says it does. Streaming must
-//     stay cheap: a one-layer FusionPipeline on AlexNet conv1 (the paper's
-//     conventional-engine layer) runs within 2x of whole-tensor im2col+GEMM
-//     on the same layer. The 16-bit datapath must stay near float speed: a
+//     on this 3x3 layer by at least 1.5x, as the cost model says it does.
+//     Streaming must stay cheap: a one-layer FusionPipeline on AlexNet
+//     conv1 (the paper's conventional-engine layer) runs within 2x of
+//     whole-tensor im2col+GEMM on the same layer. The 16-bit datapath must stay near float speed: a
 //     calibrated fixed Winograd conv + pool pipeline on the 3x3 layer runs
 //     within 1.25x of the same pipeline in float mode.
 //  2. Absolute: each guarded kernel must run within 2x of its committed
@@ -271,13 +271,19 @@ int main(int argc, char** argv) {
 
   // The paper's premise on the host: F(4x4,3x3) does a quarter of the
   // multiplications, so with the plan packed once it must win on a 3x3
-  // layer.
+  // layer, by a margin that needs the transforms on the AVX2 stamp with
+  // sparse coefficients: seven alternating runs on a shared 4-core x86-64
+  // container read 1.78-2.57x with them and 1.11-2.16x (median 1.43x)
+  // with the SSE2 dense-coefficient transforms.
+  constexpr double kWinoFloor = 1.5;
   const double wino_ms = measured[1].ms;  // winograd_f43_gemm
-  std::printf("perf_smoke: winograd F(4x4,3x3) vs im2col+GEMM — %.2fx\n",
-              blocked / wino_ms);
-  if (wino_ms >= blocked) {
+  std::printf("perf_smoke: winograd F(4x4,3x3) vs im2col+GEMM — %.2fx "
+              "(floor %.2fx)\n",
+              blocked / wino_ms, kWinoFloor);
+  if (blocked < kWinoFloor * wino_ms) {
     std::printf("perf_smoke: FAIL — Winograd F(4x4,3x3) must beat "
-                "im2col+GEMM on a 3x3 layer single-threaded\n");
+                "im2col+GEMM by %.2fx on a 3x3 layer single-threaded\n",
+                kWinoFloor);
     ok = false;
   }
 

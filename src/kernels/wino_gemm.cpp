@@ -78,8 +78,8 @@ inline void gather_tile(const float* cplane, int strip_w, int tj, int m, int n,
 }
 
 // Lane vectors of the f32 transforms: eight floats, one per channel.
-// GCC/Clang generic vectors, legalized to whatever the build targets (two
-// SSE registers on a baseline x86-64 build).
+// GCC/Clang generic vectors, legalized to whatever the stamp targets (two
+// SSE registers on the baseline, one ymm register on the AVX2 stamp).
 constexpr int kLanes = 8;
 typedef float vlane __attribute__((vector_size(kLanes * sizeof(float))));
 
@@ -87,9 +87,37 @@ inline std::size_t lane_blocks(std::size_t lanes) {
   return (lanes + kLanes - 1) / kLanes;
 }
 
+/// A transform matrix as per-row lists of its nonzero coefficients, k
+/// ascending: the order every transformed element accumulates in.
+struct SparseRows {
+  int count[kWinogradMaxN];
+  int idx[kWinogradMaxN][kWinogradMaxN];
+  float coef[kWinogradMaxN][kWinogradMaxN];
+};
+
+/// Sparse rows of the row-major (rows x cols) matrix A.
+SparseRows sparse_rows(const std::vector<float>& A, int rows, int cols) {
+  SparseRows s{};
+  for (int r = 0; r < rows; ++r) {
+    for (int k = 0; k < cols; ++k) {
+      const float a = A[static_cast<std::size_t>(r) * cols + k];
+      if (a == 0.0f) continue;
+      s.idx[r][s.count[r]] = k;
+      s.coef[r][s.count[r]++] = a;
+    }
+  }
+  return s;
+}
+
+// The lane-vector helpers below serve both transform stamps. always_inline
+// folds them into each stamp under the stamp's own target: as one shared
+// out-of-line copy (what -O0 emits for plain inline) they would be compiled
+// for the baseline inside the AVX2 stamp (DESIGN §10).
+
 /// The first `live` lanes of a vector from / to memory; full blocks take
 /// the fixed-size path the compiler turns into plain vector moves.
-inline void load_lanes(const float* src, int live, vlane& x) {
+__attribute__((always_inline)) inline void load_lanes(const float* src,
+                                                      int live, vlane& x) {
   if (live == kLanes) {
     std::memcpy(&x, src, sizeof(vlane));
   } else {
@@ -98,7 +126,9 @@ inline void load_lanes(const float* src, int live, vlane& x) {
   }
 }
 
-inline void store_lanes(float* dst, const vlane& x, int live) {
+__attribute__((always_inline)) inline void store_lanes(float* dst,
+                                                       const vlane& x,
+                                                       int live) {
   if (live == kLanes) {
     std::memcpy(dst, &x, sizeof(vlane));
   } else {
@@ -106,39 +136,110 @@ inline void store_lanes(float* dst, const vlane& x, int live) {
   }
 }
 
-/// Y (ra x cb) = A (ra x ca, scalar) * X (ca x cb), every X/Y entry a lane
-/// vector. Zero coefficients of the sparse transform matrices are skipped.
-inline void lanes_nn(const float* A, int ra, int ca, const vlane* X, int cb,
-                     vlane* Y) {
+// The two products below run U independent accumulation chains at a time
+// (U = 2 on the AVX2 stamp; 1 on the baseline, where GCC keeps each 8-lane
+// vector wider than the target's registers on the stack and a second chain
+// only adds spills). Every element still gets its own chain, acc = +0 then
+// acc += a * x over its row's nonzero coefficients, k ascending, so U
+// changes the interleaving, never the bytes.
+
+/// Y (ra x cb) = A (ra x ca, sparse rows) * X (ca x cb), every X/Y entry a
+/// lane vector.
+template <int U>
+__attribute__((always_inline)) inline void sparse_nn(const SparseRows& A,
+                                                     int ra, const vlane* X,
+                                                     int cb, vlane* Y) {
   for (int r = 0; r < ra; ++r) {
-    vlane* yr = Y + static_cast<std::size_t>(r) * cb;
-    for (int c = 0; c < cb; ++c) yr[c] = vlane{};
-    for (int k = 0; k < ca; ++k) {
-      const float a = A[static_cast<std::size_t>(r) * ca + k];
-      if (a == 0.0f) continue;
-      const vlane av = vlane{} + a;
-      const vlane* xk = X + static_cast<std::size_t>(k) * cb;
-      for (int c = 0; c < cb; ++c) yr[c] += av * xk[c];
+    const int cnt = A.count[r];
+    const int* idx = A.idx[r];
+    const float* coef = A.coef[r];
+    int c = 0;
+    if constexpr (U == 2) {
+      for (; c + 2 <= cb; c += 2) {
+        vlane acc0{}, acc1{};
+        for (int j = 0; j < cnt; ++j) {
+          const vlane* x = X + idx[j] * cb + c;
+          acc0 += coef[j] * x[0];
+          acc1 += coef[j] * x[1];
+        }
+        Y[r * cb + c] = acc0;
+        Y[r * cb + c + 1] = acc1;
+      }
+    }
+    for (; c < cb; ++c) {
+      vlane acc{};
+      for (int j = 0; j < cnt; ++j) acc += coef[j] * X[idx[j] * cb + c];
+      Y[r * cb + c] = acc;
     }
   }
 }
 
-/// Y (ra x rb) = X (ra x ca) * A^T where A is (rb x ca) scalar, row-major.
-inline void lanes_nt(const vlane* X, int ra, int ca, const float* A, int rb,
-                     vlane* Y) {
-  for (int r = 0; r < ra; ++r) {
-    const vlane* xr = X + static_cast<std::size_t>(r) * ca;
-    for (int c = 0; c < rb; ++c) {
-      vlane acc{};
-      for (int k = 0; k < ca; ++k) {
-        const float a = A[static_cast<std::size_t>(c) * ca + k];
-        if (a == 0.0f) continue;
-        acc += xr[k] * (vlane{} + a);
+/// Y (ra x rb) = X (ra x ca) * A^T where A is (rb x ca, sparse rows).
+template <int U>
+__attribute__((always_inline)) inline void sparse_nt(const vlane* X, int ra,
+                                                     int ca,
+                                                     const SparseRows& A,
+                                                     int rb, vlane* Y) {
+  int r = 0;
+  if constexpr (U == 2) {
+    for (; r + 2 <= ra; r += 2) {
+      const vlane* x0 = X + r * ca;
+      const vlane* x1 = x0 + ca;
+      for (int c = 0; c < rb; ++c) {
+        const int cnt = A.count[c];
+        const int* idx = A.idx[c];
+        const float* coef = A.coef[c];
+        vlane acc0{}, acc1{};
+        for (int j = 0; j < cnt; ++j) {
+          acc0 += x0[idx[j]] * coef[j];
+          acc1 += x1[idx[j]] * coef[j];
+        }
+        Y[r * rb + c] = acc0;
+        Y[(r + 1) * rb + c] = acc1;
       }
-      Y[static_cast<std::size_t>(r) * rb + c] = acc;
+    }
+  }
+  for (; r < ra; ++r) {
+    const vlane* xr = X + r * ca;
+    for (int c = 0; c < rb; ++c) {
+      const int cnt = A.count[c];
+      const int* idx = A.idx[c];
+      const float* coef = A.coef[c];
+      vlane acc{};
+      for (int j = 0; j < cnt; ++j) acc += xr[idx[j]] * coef[j];
+      Y[r * rb + c] = acc;
     }
   }
 }
+
+// Baseline stamp: generic vectors legalized to the build's default ISA.
+#define HETACC_WINO_TARGET
+#define HETACC_WINO_NAME(n) n##_base
+#define HETACC_WINO_CHAINS 1
+#include "kernels/wino_transform.inc"
+#undef HETACC_WINO_TARGET
+#undef HETACC_WINO_NAME
+#undef HETACC_WINO_CHAINS
+
+using ForwardBlockFn = decltype(&forward_block_base);
+using InverseBlockFn = decltype(&inverse_block_base);
+
+#if defined(__x86_64__)
+// AVX2 stamp, chosen at runtime so the binary stays runnable on baseline
+// machines. No fma in the target: see wino_transform.inc.
+#define HETACC_WINO_TARGET __attribute__((target("avx2")))
+#define HETACC_WINO_NAME(n) n##_avx2
+#define HETACC_WINO_CHAINS 2
+#include "kernels/wino_transform.inc"
+#undef HETACC_WINO_TARGET
+#undef HETACC_WINO_NAME
+#undef HETACC_WINO_CHAINS
+
+bool cpu_has_avx2() {
+  static const bool ok = __builtin_cpu_supports("avx2");
+  return ok;
+}
+#endif
 
 /// Chunk size for the (channel x tile) transform grids: a few tiles per
 /// cursor claim keeps per-channel locality without starving wide machines on
@@ -147,15 +248,16 @@ inline std::size_t tile_grain(int tiles_w) {
   return std::clamp<std::size_t>(static_cast<std::size_t>(tiles_w), 1, 8);
 }
 
-}  // namespace
-
-void winograd_strip(const WinogradPlan& plan, const float* strip, int strip_w,
-                    int tiles_w, float* const* out_rows, int rows_out,
-                    int out_w, const float* bias, bool relu, int out_frac,
-                    int threads) {
+/// winograd_strip on the given transform stamp.
+void strip_impl(const WinogradPlan& plan, const float* strip, int strip_w,
+                int tiles_w, float* const* out_rows, int rows_out, int out_w,
+                const float* bias, bool relu, int out_frac, int threads,
+                ForwardBlockFn forward, InverseBlockFn inverse) {
   const int n = plan.n, m = plan.m, T = tiles_w;
   const int in_c = plan.in_c, out_c = plan.out_c;
   check_tile_size(n);
+  const SparseRows bt = sparse_rows(plan.bt, n, n);
+  const SparseRows at = sparse_rows(plan.at, m, n);
   const std::size_t vplane = static_cast<std::size_t>(T) * in_c;
   const std::size_t mplane = static_cast<std::size_t>(T) * out_c;
   ScratchArena& arena = ScratchArena::tls();
@@ -169,29 +271,8 @@ void winograd_strip(const WinogradPlan& plan, const float* strip, int strip_w,
   // one contiguous vector.
   parallel_for(lane_blocks(in_c), 1, threads, [&](std::size_t blk) {
     const int c0 = static_cast<int>(blk) * kLanes;
-    const int live = std::min(kLanes, in_c - c0);
-    alignas(32) float d[kWinogradMaxN * kWinogradMaxN * kLanes] = {};
-    vlane dv[kWinogradMaxN * kWinogradMaxN];
-    vlane tmp[kWinogradMaxN * kWinogradMaxN];
-    vlane vt[kWinogradMaxN * kWinogradMaxN];
-    for (int tj = 0; tj < T; ++tj) {
-      for (int l = 0; l < live; ++l) {
-        const float* src =
-            strip + static_cast<std::size_t>(c0 + l) * n * strip_w + tj * m;
-        for (int u = 0; u < n; ++u) {
-          const float* row = src + static_cast<std::size_t>(u) * strip_w;
-          for (int x = 0; x < n; ++x) d[(u * n + x) * kLanes + l] = row[x];
-        }
-      }
-      std::memcpy(dv, d, static_cast<std::size_t>(n) * n * sizeof(vlane));
-      lanes_nn(plan.bt.data(), n, n, dv, n, tmp);
-      lanes_nt(tmp, n, n, plan.bt.data(), n, vt);
-      float* vrow = v + static_cast<std::size_t>(tj) * in_c + c0;
-      for (int ab = 0; ab < n * n; ++ab) {
-        store_lanes(vrow + static_cast<std::size_t>(ab) * vplane, vt[ab],
-                    live);
-      }
-    }
+    forward(bt, n, m, strip, strip_w, T, in_c, c0,
+            std::min(kLanes, in_c - c0), v, vplane);
   });
 
   // Transform-domain GEMMs against the pre-packed filter panels.
@@ -203,55 +284,46 @@ void winograd_strip(const WinogradPlan& plan, const float* strip, int strip_w,
   // Inverse transform + scatter. A task owns eight output channels (one
   // per lane) and walks the tiles left to right: M^T[ab]'s rows are
   // (tile, out_c), so every plane load is one contiguous vector, and each
-  // output row is filled left to right while its cache lines are hot.
+  // output row is filled left to right while its cache lines are hot. ReLU
+  // is a branchless clamp (a branch on the sign of each output mispredicts
+  // on real data).
+  const float floor = relu ? 0.0f : -std::numeric_limits<float>::infinity();
   parallel_for(lane_blocks(out_c), 1, threads, [&](std::size_t blk) {
     const int oc0 = static_cast<int>(blk) * kLanes;
-    const int live = std::min(kLanes, out_c - oc0);
-    vlane mv[kWinogradMaxN * kWinogradMaxN];
-    vlane p[kWinogradMaxN * kWinogradMaxN];
-    vlane y[kWinogradMaxN * kWinogradMaxN];
-    alignas(32) float yf[kWinogradMaxN * kWinogradMaxN * kLanes];
-    // ReLU as a branchless clamp (a branch on the sign of each output
-    // mispredicts on real data); std::max keeps a NaN either way.
-    const float floor =
-        relu ? 0.0f : -std::numeric_limits<float>::infinity();
-    for (int tj = 0; tj < T; ++tj) {
-      const float* mrow = mm + static_cast<std::size_t>(tj) * out_c + oc0;
-      for (int ab = 0; ab < n * n; ++ab) {
-        load_lanes(mrow + static_cast<std::size_t>(ab) * mplane, live,
-                   mv[ab]);
-      }
-      lanes_nn(plan.at.data(), m, n, mv, n, p);
-      lanes_nt(p, m, n, plan.at.data(), m, y);
-      std::memcpy(yf, y, static_cast<std::size_t>(m) * m * sizeof(vlane));
-      const int col0 = tj * m;
-      const int cols = std::min(m, out_w - col0);
-      for (int l = 0; l < live; ++l) {
-        const int oc = oc0 + l;
-        const float b = bias ? bias[oc] : 0.0f;
-        for (int a = 0; a < rows_out; ++a) {
-          float* orow =
-              out_rows[static_cast<std::size_t>(a) * out_c + oc] + col0;
-          const float* ya = yf + static_cast<std::size_t>(a) * m * kLanes + l;
-          for (int x = 0; x < cols; ++x) {
-            orow[x] = std::max(ya[x * kLanes] + b, floor);
-          }
-        }
-      }
-    }
-    // 16-bit mode: the task's output rows are complete, so each is snapped
-    // onto the Q(out_frac) grid in one vectorized pass while still hot.
-    if (out_frac >= 0) {
-      for (int l = 0; l < live; ++l) {
-        for (int a = 0; a < rows_out; ++a) {
-          float* orow = out_rows[static_cast<std::size_t>(a) * out_c + oc0 + l];
-          fixed::quantize_row(orow, orow, static_cast<std::size_t>(out_w),
-                              out_frac);
-        }
-      }
-    }
+    inverse(at, n, m, mm, T, out_c, oc0, std::min(kLanes, out_c - oc0),
+            mplane, out_rows, rows_out, out_w, bias, floor, out_frac);
   });
 }
+
+}  // namespace
+
+void winograd_strip(const WinogradPlan& plan, const float* strip, int strip_w,
+                    int tiles_w, float* const* out_rows, int rows_out,
+                    int out_w, const float* bias, bool relu, int out_frac,
+                    int threads) {
+#if defined(__x86_64__)
+  if (cpu_has_avx2()) {
+    strip_impl(plan, strip, strip_w, tiles_w, out_rows, rows_out, out_w, bias,
+               relu, out_frac, threads, &forward_block_avx2,
+               &inverse_block_avx2);
+    return;
+  }
+#endif
+  fallback::winograd_strip(plan, strip, strip_w, tiles_w, out_rows, rows_out,
+                           out_w, bias, relu, out_frac, threads);
+}
+
+namespace fallback {
+
+void winograd_strip(const WinogradPlan& plan, const float* strip, int strip_w,
+                    int tiles_w, float* const* out_rows, int rows_out,
+                    int out_w, const float* bias, bool relu, int out_frac,
+                    int threads) {
+  strip_impl(plan, strip, strip_w, tiles_w, out_rows, rows_out, out_w, bias,
+             relu, out_frac, threads, &forward_block_base, &inverse_block_base);
+}
+
+}  // namespace fallback
 
 void winograd_strip_fixed(const WinogradPlanFixed& plan, const float* strip,
                           int strip_w, int tiles_w, float* const* out_rows,

@@ -14,7 +14,11 @@
 //
 // The float datapath is f32 end to end: f32 transforms, vectorized with one
 // channel per lane, and the f32 GEMM. The double per-tile seed
-// (algo::winograd_conv_pretransformed_scalar) is its test oracle.
+// (algo::winograd_conv_pretransformed_scalar) is its test oracle. The
+// transforms walk per-row lists of the nonzero B^T / A^T coefficients and
+// run on one of two stamps of the same source, baseline or AVX2 (without
+// FMA, so both round identically), picked once per process; the bytes do
+// not depend on which one runs.
 //
 // Determinism: parallelism is across blocks of eight input channels (gather
 // + forward transform), tile positions (GEMM batch), and blocks of eight
@@ -95,6 +99,17 @@ void winograd_strip(const WinogradPlan& plan, const float* strip, int strip_w,
                     int tiles_w, float* const* out_rows, int rows_out,
                     int out_w, const float* bias, bool relu, int out_frac,
                     int threads);
+
+/// winograd_strip with the baseline transform stamp forced, whatever the
+/// CPU supports (the GEMMs still dispatch as usual). Both stamps run the
+/// same operation chain per element, so the differential test requires
+/// the two to be byte-identical.
+namespace fallback {
+void winograd_strip(const WinogradPlan& plan, const float* strip, int strip_w,
+                    int tiles_w, float* const* out_rows, int rows_out,
+                    int out_w, const float* bias, bool relu, int out_frac,
+                    int threads);
+}  // namespace fallback
 
 /// Fixed-datapath strip: `strip` must hold Q(data_frac)-quantized samples,
 /// V is quantized to Q(v_frac) int16 before the transform-domain multiply,

@@ -344,6 +344,66 @@ TEST(ConvKernels, WinogradStripBytesIndependentOfThreads) {
   }
 }
 
+// The dispatched transform stamp (AVX2 where the CPU has it) against the
+// forced baseline stamp: both run acc = +0, acc += a * x per nonzero
+// coefficient, k ascending, so the bytes must match exactly. A stamp that
+// fused the multiply-add would round differently and fail here. Lane tails
+// (in_c, out_c off multiples of 8), right-clipped tiles, a bottom-clipped
+// strip, ReLU and 16-bit output all run.
+TEST(ConvKernels, WinogradTransformStampsByteIdentical) {
+  const int cases[][2] = {{2, 3}, {4, 3}, {6, 3}, {2, 5},
+                          {4, 5}, {6, 5}, {4, 7}};
+  for (const auto& c : cases) {
+    const int m = c[0], r = c[1];
+    SCOPED_TRACE(::testing::Message() << "F(" << m << "," << r << ")");
+    const int in_c = 13, out_c = 11, H = 2 * m + r, W = 3 * m + 1;
+    FilterBank f(out_c, in_c, r);
+    Tensor in(in_c, H, W);
+    std::vector<float> bias(out_c);
+    nn::fill_deterministic(in, 81);
+    nn::fill_deterministic(f, 82);
+    nn::fill_deterministic(bias, 83);
+    const kernels::WinogradPlan plan =
+        algo::pack_winograd_plan(algo::winograd(m, r), f);
+    const int n = plan.n, out_w = W - r + 1;
+    const int tiles_w = (out_w + m - 1) / m;
+    ASSERT_NE(0, out_w % m) << "the last tile must be right-clipped";
+    const int strip_w = (tiles_w - 1) * m + n;
+    std::vector<float> strip(std::size_t(in_c) * n * strip_w, 0.0f);
+    for (int ch = 0; ch < in_c; ++ch) {
+      for (int u = 0; u < n && u < H; ++u) {
+        for (int x = 0; x < W && x < strip_w; ++x) {
+          strip[(std::size_t(ch) * n + u) * strip_w + x] = in.at(ch, u, x);
+        }
+      }
+    }
+    for (const int rows_out : {m, m - 1}) {
+      for (const bool relu : {false, true}) {
+        for (const int out_frac : {-1, 0, 10}) {
+          std::vector<float> got[2];
+          for (int stamp = 0; stamp < 2; ++stamp) {
+            std::vector<float> out(std::size_t(m) * out_c * out_w, -1.0f);
+            std::vector<float*> rows(std::size_t(m) * out_c);
+            for (std::size_t i = 0; i < rows.size(); ++i) {
+              rows[i] = out.data() + i * out_w;
+            }
+            const auto strip_fn = stamp == 0
+                                      ? &kernels::winograd_strip
+                                      : &kernels::fallback::winograd_strip;
+            strip_fn(plan, strip.data(), strip_w, tiles_w, rows.data(),
+                     rows_out, out_w, bias.data(), relu, out_frac, 1);
+            got[stamp] = std::move(out);
+          }
+          EXPECT_EQ(0, std::memcmp(got[0].data(), got[1].data(),
+                                   got[0].size() * sizeof(float)))
+              << "rows_out=" << rows_out << " relu=" << relu
+              << " out_frac=" << out_frac;
+        }
+      }
+    }
+  }
+}
+
 TEST(ConvKernels, ThreadCountInvarianceBytewise) {
   ThreadGuard guard;
   Tensor in(24, 30, 30);
